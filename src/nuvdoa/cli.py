@@ -17,12 +17,10 @@ import numpy as np
 import yaml
 
 from .arrays import (
-    Scenario,
     UlaGeometry,
     build_dictionary,
     build_grid,
     sample_covariance,
-    simulate_snapshots,
     snapshot_mean,
 )
 from .baselines import bartlett_spectrum, music_spectrum, mvdr_spectrum
@@ -32,11 +30,11 @@ from .harness import (
     PipelineSettings,
     ScenarioConfig,
     SolverSettings,
-    resolve_sigma2,
     calibrate_epsilon,
     calibrate_sigma2,
     run_sweep,
     run_trial,
+    simulate_trial,
 )
 from .reports import (
     dump_error_table,
@@ -138,20 +136,11 @@ def load_config(path, args) -> ScenarioConfig:
     return config
 
 
-def _scenario_for_trial(config: ScenarioConfig, trial_index: int):
-    rng = np.random.default_rng((config.seed + trial_index, 0xD0A))
-    doas = config.doa_sampling.draw(config.k_sources, rng)
-    return Scenario(geometry=UlaGeometry(config.n_sensors), true_doas=doas,
-                    n_snapshots=config.n_snapshots, snr_db=config.snr_db,
-                    source_model=config.source_model)
-
-
 def cmd_simulate(config: ScenarioConfig, args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(config.trials):
-        scenario = _scenario_for_trial(config, i)
-        batch = simulate_snapshots(scenario, config.seed + i)
+        scenario, batch = simulate_trial(config, i)
         np.savez(out / f"batch_{i:04d}.npz",
                  snapshots=batch.snapshots,
                  true_doas_deg=np.degrees(scenario.true_doas),
@@ -162,24 +151,22 @@ def cmd_simulate(config: ScenarioConfig, args) -> int:
 
 
 def _spectrum_for(config: ScenarioConfig, method: str, args) -> Spectrum:
-    scenario = _scenario_for_trial(config, 0)
-    batch = simulate_snapshots(scenario, config.seed)
-    sigma2 = resolve_sigma2(config, config.snr_db)
+    _, batch = simulate_trial(config, 0)
+    pipeline = config.pipeline_config()
+    solver_cfg = pipeline.solver_config(
+        config.n_snapshots, pipeline.resolve_sigma2(config.snr_db))
     if method == "nuv_ssr_flat":
         grid = build_grid(config.flat_grid_cells)
         dictionary = build_dictionary(grid, UlaGeometry(config.n_sensors))
-        _, moments, _ = solve(dictionary, snapshot_mean(batch),
-                              config.solver_config(sigma2))
+        _, moments, _ = solve(dictionary, snapshot_mean(batch), solver_cfg)
         return spectrum(moments, grid)
     if method == "superres":
-        lo = math.radians(args.scan_lo_deg)
-        hi = math.radians(args.scan_hi_deg)
-        plan = plan_subbands(lo, hi, math.radians(config.pipeline.fine_step_deg),
-                             math.radians(config.pipeline.half_width_deg))
-        return superres_scan(plan, snapshot_mean(batch),
-                             config.solver_config(sigma2),
+        plan = plan_subbands(math.radians(args.scan_lo_deg),
+                             math.radians(args.scan_hi_deg),
+                             pipeline.fine_step, pipeline.half_width)
+        return superres_scan(plan, snapshot_mean(batch), solver_cfg,
                              UlaGeometry(config.n_sensors),
-                             workers=config.workers)
+                             workers=pipeline.workers)
     grid = build_grid(config.baseline_grid_cells)
     cov = sample_covariance(batch)
     if method == "bartlett":

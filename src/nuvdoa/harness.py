@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from itertools import permutations
 
 import numpy as np
 
@@ -54,7 +53,6 @@ METHODS = ("nuv_doa", "nuv_ssr_flat", "bartlett", "mvdr", "music", "root_music")
 
 DEFAULT_SIGMA2_CANDIDATES = (3e0, 1e1, 3e1, 1e2, 3e2, 8e2, 3e3, 1e4)
 
-_MAX_MATCH_SOURCES = 8
 _DOA_STREAM_TAG = 0xD0A
 
 
@@ -166,8 +164,6 @@ class ScenarioConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
-        if self.k_sources > _MAX_MATCH_SOURCES:
-            raise ValueError("scoring supports at most 8 sources")
 
     @property
     def method_list(self) -> tuple:
@@ -183,10 +179,7 @@ class ScenarioConfig:
         return random_uniform_init(self.solver.init_seed)
 
     def solver_config(self, sigma2: float) -> SolverConfig:
-        return SolverConfig(sigma2=sigma2, n_snapshots=self.n_snapshots,
-                            max_iterations=self.solver.max_iterations,
-                            tolerance=self.solver.tolerance,
-                            init=self._init_spec())
+        return self.pipeline_config().solver_config(self.n_snapshots, sigma2)
 
     def pipeline_config(self, snr_db: float | None = None) -> PipelineConfig:
         """Resolve pipeline settings; "scenario" pins the given true SNR."""
@@ -239,35 +232,21 @@ class RunReport:
 
 
 def match_and_score(estimates_deg, truth_deg):
-    """Best assignment of estimates to truths over all permutations.
+    """Squared-error-optimal assignment of estimates to truths.
 
     Angles are plain degrees on a half-open interval, so differences are
-    ordinary subtractions with no wraparound.  Returns (matched errors in
-    truth order, rmse).
+    ordinary subtractions with no wraparound.  On a line, pairing the
+    sorted estimates with the sorted truths minimizes the summed squared
+    error.  Returns (matched errors in truth order, rmse).
     """
     est = np.asarray(estimates_deg, dtype=float)
     tru = np.asarray(truth_deg, dtype=float)
     if est.shape != tru.shape or est.ndim != 1:
         raise ValueError("estimates and truth must be equal-length vectors")
-    k = est.size
-    if k > _MAX_MATCH_SOURCES:
-        raise ValueError("exhaustive matching supports at most 8 sources")
-    best = None
-    best_perm = None
-    for perm in permutations(range(k)):
-        sq = float(np.sum((est[list(perm)] - tru) ** 2))
-        if best is None or sq < best:
-            best = sq
-            best_perm = perm
-    errors = est[list(best_perm)] - tru
-    return errors, math.sqrt(best / k)
-
-
-def resolve_sigma2(config: ScenarioConfig, snr_db: float) -> float:
-    if config.solver.sigma2 is not None:
-        return config.solver.sigma2
-    from .pipeline import load_default_sigma2_table
-    return load_default_sigma2_table().sigma2_for(snr_db)
+    order = np.argsort(tru, kind="stable")
+    errors = np.empty_like(tru)
+    errors[order] = np.sort(est) - tru[order]
+    return errors, math.sqrt(float(np.sum(errors ** 2)) / est.size)
 
 
 def _flat_estimates(batch, config: ScenarioConfig, snr_db: float):
@@ -275,8 +254,8 @@ def _flat_estimates(batch, config: ScenarioConfig, snr_db: float):
     grid = build_grid(config.flat_grid_cells)
     dictionary = build_dictionary(grid, geometry)
     stat = snapshot_mean(batch)
-    solver_cfg = config.solver_config(resolve_sigma2(config, snr_db))
-    _, moments, _ = solve(dictionary, stat, solver_cfg)
+    sigma2 = config.pipeline_config().resolve_sigma2(snr_db)
+    _, moments, _ = solve(dictionary, stat, config.solver_config(sigma2))
     peaks = select_peaks(spectrum(moments, grid), fixed_k(config.k_sources))
     flags = ("peak_fallback_filled",) if peaks.fallback_filled else ()
     return np.sort(peaks.angles), flags
@@ -318,26 +297,38 @@ def run_method(batch, method: str, config: ScenarioConfig, snr_db: float):
         return None, ("solver_numerical_failure",)
 
 
+def simulate_trial(config: ScenarioConfig, trial_index: int,
+                   snr_db: float | None = None):
+    """The scenario and snapshot batch of one trial.
+
+    The trial seed ``config.seed + trial_index`` drives both the direction
+    draw (through an rng tagged for that purpose) and the snapshot noise.
+    ``snr_db`` defaults to ``config.snr_db``.  Returns (Scenario,
+    SnapshotBatch).
+    """
+    trial_seed = config.seed + trial_index
+    rng = np.random.default_rng((trial_seed, _DOA_STREAM_TAG))
+    scenario = Scenario(
+        geometry=UlaGeometry(config.n_sensors),
+        true_doas=config.doa_sampling.draw(config.k_sources, rng),
+        n_snapshots=config.n_snapshots,
+        snr_db=config.snr_db if snr_db is None else snr_db,
+        source_model=config.source_model,
+    )
+    return scenario, simulate_snapshots(scenario, trial_seed)
+
+
 def run_trial(config: ScenarioConfig, trial_index: int,
               method: str | None = None, snr_db: float | None = None) -> TrialRecord:
     method = method or config.method_list[0]
     snr_db = config.snr_db if snr_db is None else snr_db
     trial_seed = config.seed + trial_index
-    rng = np.random.default_rng((trial_seed, _DOA_STREAM_TAG))
-    doas = config.doa_sampling.draw(config.k_sources, rng)
-    scenario = Scenario(
-        geometry=UlaGeometry(config.n_sensors),
-        true_doas=doas,
-        n_snapshots=config.n_snapshots,
-        snr_db=snr_db,
-        source_model=config.source_model,
-    )
-    batch = simulate_snapshots(scenario, trial_seed)
+    scenario, batch = simulate_trial(config, trial_index, snr_db)
     started = time.perf_counter() if config.timing else None
     estimates, flags = run_method(batch, method, config, snr_db)
     runtime_ms = ((time.perf_counter() - started) * 1e3
                   if started is not None else None)
-    truth_deg = np.degrees(doas)
+    truth_deg = np.degrees(scenario.true_doas)
     if estimates is None:
         return TrialRecord(seed=trial_seed,
                            true_doas_deg=tuple(truth_deg.tolist()),
@@ -407,19 +398,13 @@ def calibrate_epsilon(config: ScenarioConfig):
         good = []
         cfg = config.pipeline_config(snr_db)
         for i in range(config.trials):
-            trial_seed = config.seed + i
-            rng = np.random.default_rng((trial_seed, _DOA_STREAM_TAG))
-            doas = config.doa_sampling.draw(config.k_sources, rng)
-            scenario = Scenario(geometry=UlaGeometry(config.n_sensors),
-                                true_doas=doas, n_snapshots=config.n_snapshots,
-                                snr_db=snr_db, source_model=config.source_model)
-            batch = simulate_snapshots(scenario, trial_seed)
+            scenario, batch = simulate_trial(config, i, snr_db)
             try:
                 coarse = coarse_estimate(batch, config.k_sources, cfg)
             except (RootDeficitError, SolverNumericalError):
                 continue
             errors, _ = match_and_score(np.degrees(coarse.angles),
-                                        np.degrees(doas))
+                                        np.degrees(scenario.true_doas))
             if all(abs(e) < config.detection_threshold_deg for e in errors):
                 good.extend(errors)
         snrs.append(snr_db)

@@ -24,11 +24,18 @@ from .arrays import AngleGrid, SteeringDictionary, SufficientStatistic
 
 
 class SolverNumericalError(RuntimeError):
-    """Raised when a precision-matrix factorization breaks down."""
+    """Raised when a precision-matrix factorization breaks down.
 
-    def __init__(self, message: str, iteration: int):
+    ``problems`` holds the stack indices of the failing problems when a
+    stack of problems was being solved; ``reason`` is the message without
+    the iteration.
+    """
+
+    def __init__(self, message: str, iteration: int, problems=()):
         super().__init__(f"{message} (iteration {iteration})")
+        self.reason = message
         self.iteration = iteration
+        self.problems = tuple(int(p) for p in problems)
 
 
 @dataclass(frozen=True)
@@ -248,11 +255,24 @@ def posterior_moments(dictionary, state: NuvState, precision: np.ndarray,
                             clamp_excursion=excursion)
 
 
-def _moment_kernel(matrix: np.ndarray, ybar: np.ndarray, noise_scale: float):
-    """Posterior moments of one fixed problem as a function of the priors.
+def _operands(matrices, means):
+    """Per-problem operands of a sweep over a stack of problems.
 
-    Returns ``moments(pv, iteration) -> (mean, variance, clamp_excursion)``
-    with the same values as :func:`precision_matrix` followed by
+    Returns the dictionaries as complex ``(b, n, m)``, their adjoints
+    ``(b, m, n)``, and the rows ``[A^T; ybar^T]`` of each problem
+    ``(b, m + 1, n)``.
+    """
+    matrices = np.asarray(matrices, dtype=complex)
+    adjoints = matrices.conj().swapaxes(1, 2).copy()
+    rows = np.concatenate([matrices.swapaxes(1, 2), means[:, None, :]], axis=1)
+    return matrices, adjoints, rows
+
+
+def _moments(operands, noise: np.ndarray, pv: np.ndarray, iteration: int):
+    """Posterior moments of every problem of a stack at prior variances ``pv``.
+
+    Returns ``(mean, variance, clamp_excursion)``, one row (or entry) per
+    problem, with the same values as :func:`precision_matrix` followed by
     :func:`posterior_moments`, computed without forming the precision.
     With ``G = A diag(pv) A^H + (sigma2/L) I = R R^H`` (Cholesky) and
     ``[B | b] = R^-1 [A | ybar]``, the mean is ``pv * B^H b`` and the gain
@@ -263,40 +283,43 @@ def _moment_kernel(matrix: np.ndarray, ybar: np.ndarray, noise_scale: float):
     m + 1 right-hand sides: the numpy and scipy wheels link separate BLAS
     builds, and a multithreaded solve on scipy's side between numpy
     products stalls on contended threads.  Keeping the m-sized work inside
-    numpy's BLAS avoids that.
+    numpy's BLAS avoids that.  A failure names the failing problems.
     """
-    matrix = np.asarray(matrix, dtype=complex)
-    n, m = matrix.shape
-    adjoint = matrix.conj().T.copy()
-    # Row j is a_j^T; the last row is ybar^T.  Rows of stacked @ R^-T are
-    # then (R^-1 a_j)^T and (R^-1 ybar)^T.
-    stacked = np.vstack([matrix.T, ybar])
-    noise = noise_scale * np.eye(n)
-
-    def moments(pv: np.ndarray, iteration: int):
-        gram = (matrix * pv) @ adjoint
-        gram += noise
-        if not np.isfinite(gram).all():
-            raise SolverNumericalError("observation covariance is not finite",
-                                       iteration)
-        factor, info = zpotrf(gram, lower=True, overwrite_a=True)
+    matrices, adjoints, rows = operands
+    gram = (matrices * pv[:, None, :]) @ adjoints
+    gram += noise
+    if not np.isfinite(gram).all():
+        bad = ~np.isfinite(gram).all(axis=(1, 2))
+        raise SolverNumericalError("observation covariance is not finite",
+                                   iteration, np.flatnonzero(bad))
+    # inverse_t[i] holds (R_i^-1)^T, so rows @ inverse_t gives the rows
+    # (R^-1 a_j)^T and (R^-1 ybar)^T of every problem.
+    inverse_t = np.empty_like(gram)
+    failed = {}
+    for index, block in enumerate(gram):
+        factor, info = zpotrf(block, lower=True, overwrite_a=True)
         if info != 0:
-            raise SolverNumericalError(
-                f"precision factorization failed: LAPACK potrf info {info}",
-                iteration)
+            failed[index] = info
+            continue
         # A successful factorization has a positive diagonal, so the
         # triangular inverse cannot fail.
         inverse, _ = ztrtri(factor, lower=True, overwrite_c=True)
-        whitened = stacked @ inverse.T
-        atoms, data = whitened[:m], whitened[m]
-        mean = pv * (atoms @ data.conj()).conj()
-        parts = atoms.view(float)
-        gain = np.einsum("ij,ij->i", parts, parts)
-        raw = pv - pv * pv * gain
-        excursion = max(0.0, -float(raw.min(initial=0.0)))
-        return mean, np.maximum(raw, 0.0), excursion
-
-    return moments
+        inverse_t[index] = inverse.T
+    if failed:
+        raise SolverNumericalError(
+            "precision factorization failed: LAPACK potrf info "
+            f"{next(iter(failed.values()))}", iteration, tuple(failed))
+    whitened = rows @ inverse_t
+    m = pv.shape[1]
+    atoms, data = whitened[:, :m], whitened[:, m:]
+    mean = pv * (atoms @ data.conj().swapaxes(1, 2))[:, :, 0].conj()
+    parts = atoms.view(float)
+    gain = np.einsum("bij,bij->bi", parts, parts)
+    raw = pv - pv * pv * gain
+    # The minimum is capped at zero; subtracting from 0.0 keeps zero
+    # excursions at +0.0.
+    excursion = 0.0 - raw.min(axis=1, initial=0.0)
+    return mean, np.maximum(raw, 0.0), excursion
 
 
 def _em_update(mean: np.ndarray, variance: np.ndarray) -> np.ndarray:
@@ -306,14 +329,88 @@ def _em_update(mean: np.ndarray, variance: np.ndarray) -> np.ndarray:
     return pv
 
 
+def solve_stack(matrices, means, pv: np.ndarray, config: SolverConfig,
+                keep_history: bool = False):
+    """Run the variance fixed point on a stack of independent problems.
+
+    ``matrices`` is ``(b, n, m)``, ``means`` ``(b, n)`` and the starting
+    variances ``pv`` ``(b, m)``.  A zero column with zero starting variance
+    stays at zero and never couples into its problem, so dictionaries of
+    different widths can share a stack by zero padding.  Each problem stops
+    when the max-norm change of its variances drops below
+    ``tolerance * max(1, ||pv||_inf)`` or at ``max_iterations``, then leaves
+    the active stack; every problem gets one final moment evaluation at its
+    stopped variances.  A problem's iterates do not depend on the other
+    problems of the stack; zero padding changes them only by rounding.
+
+    Returns ``(pv, mean, variance, clamp_excursion, traces)``: the final
+    variances and the moments at them, one row per problem, and one
+    :class:`SolveTrace` per problem.
+    """
+    operands = _operands(matrices, means)
+    count, n, _ = operands[0].shape
+    noise = config.noise_scale * np.eye(n)
+    final_pv = np.empty_like(pv)
+    iterations = np.empty(count, dtype=int)
+    changes = np.empty(count)
+    converged = np.zeros(count, dtype=bool)
+    worst = np.empty(count)
+    histories = [[row.copy()] for row in pv] if keep_history else None
+    active = np.arange(count)
+    work = operands
+    worst_active = np.zeros(count)
+    for iteration in range(1, config.max_iterations + 1):
+        mean, variance, excursion = _moments(work, noise, pv, iteration - 1)
+        np.maximum(worst_active, excursion, out=worst_active)
+        pv_new = _em_update(mean, variance)
+        change = np.abs(pv_new - pv).max(axis=1)
+        pv = pv_new
+        if histories is not None:
+            for row, problem in enumerate(active):
+                histories[problem].append(pv[row].copy())
+        done = change < config.tolerance * pv.max(axis=1, initial=1.0)
+        leaving = done if iteration < config.max_iterations else np.ones_like(done)
+        if not leaving.any():
+            continue
+        retired = active[leaving]
+        final_pv[retired] = pv[leaving]
+        iterations[retired] = iteration
+        changes[retired] = change[leaving]
+        converged[retired] = done[leaving]
+        worst[retired] = worst_active[leaving]
+        staying = ~leaving
+        active = active[staying]
+        if active.size == 0:
+            break
+        # Gather the active sub-stack only when it shrinks: indexing the
+        # stack on every sweep would copy it every sweep.
+        work = tuple(operand[staying] for operand in work)
+        pv = pv[staying]
+        worst_active = worst_active[staying]
+    mean, variance, excursion = _moments(operands, noise, final_pv,
+                                         int(iterations.max()))
+    traces = tuple(
+        SolveTrace(
+            iterations=int(iterations[i]),
+            final_change=float(changes[i]),
+            converged=bool(converged[i]),
+            worst_clamp_excursion=float(max(worst[i], excursion[i])),
+            history=tuple(histories[i]) if histories is not None else (),
+        )
+        for i in range(count))
+    return final_pv, mean, variance, excursion, traces
+
+
 def em_step(dictionary, state: NuvState, stat, config: SolverConfig) -> NuvState:
     """One fixed-point sweep: posterior moments, then pv <- |mean|^2 + var."""
     matrix = _as_matrix(dictionary)
     if matrix.shape[1] != state.prior_variances.size:
         raise ValueError("dictionary and state disagree on atom count")
-    moments = _moment_kernel(matrix, _as_mean(stat), config.noise_scale)
-    mean, variance, _ = moments(state.prior_variances, state.iteration)
-    return NuvState(prior_variances=_em_update(mean, variance),
+    operands = _operands(matrix[None], _as_mean(stat)[None])
+    noise = config.noise_scale * np.eye(matrix.shape[0])
+    mean, variance, _ = _moments(operands, noise, state.prior_variances[None],
+                                 state.iteration)
+    return NuvState(prior_variances=_em_update(mean, variance)[0],
                     iteration=state.iteration + 1)
 
 
@@ -323,8 +420,8 @@ def solve(dictionary, stat, config: SolverConfig, keep_history: bool = False):
     Iterates :func:`em_step` until the max-norm change of the prior
     variances drops below ``tolerance * max(1, ||pv||_inf)`` or
     ``max_iterations`` is reached, then evaluates the posterior moments once
-    more at the final variances.  The loop runs on plain arrays; the state
-    and moment records are built once, at the end.
+    more at the final variances.  This is the stack loop run on a stack of
+    one problem; the state and moment records are built once, at the end.
 
     Returns
     -------
@@ -336,36 +433,12 @@ def solve(dictionary, stat, config: SolverConfig, keep_history: bool = False):
         raise ValueError("snapshot mean contains non-finite entries")
     if matrix.shape[0] != ybar.size:
         raise ValueError("dictionary and statistic disagree on sensor count")
-    moments = _moment_kernel(matrix, ybar, config.noise_scale)
     pv = initial_state(matrix.shape[1], config.init).prior_variances
-    history = [pv.copy()] if keep_history else None
-    worst_excursion = 0.0
-    change = np.inf
-    converged = False
-    iteration = 0
-    while iteration < config.max_iterations:
-        mean, variance, excursion = moments(pv, iteration)
-        worst_excursion = max(worst_excursion, excursion)
-        pv_new = _em_update(mean, variance)
-        change = float(np.abs(pv_new - pv).max())
-        pv = pv_new
-        iteration += 1
-        if history is not None:
-            history.append(pv.copy())
-        if change < config.tolerance * max(1.0, float(pv.max(initial=0.0))):
-            converged = True
-            break
-    mean, variance, excursion = moments(pv, iteration)
-    trace = SolveTrace(
-        iterations=iteration,
-        final_change=change,
-        converged=converged,
-        worst_clamp_excursion=max(worst_excursion, excursion),
-        history=tuple(history) if history is not None else (),
-    )
-    return (NuvState(prior_variances=pv, iteration=iteration),
-            PosteriorMoments(mean=mean, variance=variance,
-                             clamp_excursion=excursion),
+    pv, mean, variance, excursion, (trace,) = solve_stack(
+        matrix[None], ybar[None], pv[None], config, keep_history)
+    return (NuvState(prior_variances=pv[0], iteration=trace.iterations),
+            PosteriorMoments(mean=mean[0], variance=variance[0],
+                             clamp_excursion=float(excursion[0])),
             trace)
 
 

@@ -8,12 +8,12 @@ together produces a spectrum whose resolution is set by the fine step
 rather than by a full-azimuth grid, at the price of one small solve per
 scan point.
 
-Bands are solved as a stack: their dictionaries are padded to a common
-width with zero columns (a zero column with zero starting variance never
-moves and never couples into the solve) so each variance sweep is one
-batched linear solve instead of a Python loop over bands.  Every band still
-follows its own convergence schedule; a band leaves the active stack the
-moment its own stopping rule fires.
+Bands are solved as one stack by the solver's fixed-point loop, the same
+loop a flat solve runs as a stack of one: their dictionaries are padded to
+a common width with zero columns (a zero column with zero starting variance
+never moves and never couples into the solve).  Every band still follows
+its own convergence schedule; a band leaves the active stack the moment
+its own stopping rule fires.
 """
 
 from __future__ import annotations
@@ -31,13 +31,11 @@ from .arrays import (
     steering_matrix,
 )
 from .solver import (
-    PeakRule,
-    PeakSelection,
     SolverConfig,
     SolverNumericalError,
     Spectrum,
     initial_state,
-    select_peaks,
+    solve_stack,
 )
 
 _MAX_STACK = 512
@@ -98,84 +96,30 @@ def _band_stack(bands, geometry: UlaGeometry, init):
     return mats, pv
 
 
-def _failing_centers(gram, bands, active):
-    centers = []
-    for row, band_index in enumerate(active):
-        block = gram[row]
-        bad = not np.all(np.isfinite(block))
-        if not bad:
-            try:
-                np.linalg.cholesky(block)
-            except np.linalg.LinAlgError:
-                bad = True
-        if bad:
-            centers.append(bands[band_index].center)
-    return centers
-
-
 def _solve_band_stack(bands, stat, config: SolverConfig,
                       geometry: UlaGeometry) -> np.ndarray:
     """Center-atom magnitudes for a list of bands sharing one statistic.
 
-    Each band runs the same variance fixed point as the single-problem
-    solver: sweep, update, stop when its own max-norm change drops under
-    ``tolerance * max(1, ||pv||_inf)``, then one final moment evaluation at
-    the stopped variances.
+    The bands' zero-padded dictionaries go through the solver's stack loop
+    as one stack, so every band runs the same variance fixed point, with its
+    own stopping rule, as a single-problem solve.  A numerical failure names
+    the centers of the failing bands.
     """
     mean = stat.mean if hasattr(stat, "mean") else np.asarray(stat)
-    n = geometry.n_sensors
-    if mean.size != n:
+    if mean.size != geometry.n_sensors:
         raise ValueError("statistic and geometry disagree on sensor count")
     mats, pv = _band_stack(bands, geometry, config.init)
-    count, _, width = mats.shape
-    final_pv = np.empty_like(pv)
-    active = np.arange(count)
-    noise_eye = config.noise_scale * np.eye(n)
-
-    def sweep(indices, pv_stack, iteration):
-        matrix_stack = mats[indices]
-        scaled = matrix_stack * pv_stack[:, None, :]
-        gram = scaled @ matrix_stack.conj().swapaxes(1, 2)
-        gram = (gram + gram.conj().swapaxes(1, 2)) / 2.0
-        gram += noise_eye
-        rhs = np.empty((matrix_stack.shape[0], n, width + 1), dtype=complex)
-        rhs[:, :, 0] = mean
-        rhs[:, :, 1:] = matrix_stack
-        try:
-            if not np.all(np.isfinite(gram)):
-                raise np.linalg.LinAlgError("non-finite covariance")
-            solved = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:
-            centers = _failing_centers(gram, bands, indices)
-            raise SolverNumericalError(
-                "sub-band factorization failed at centers "
-                f"{[round(np.degrees(c), 4) for c in centers]} deg",
-                iteration) from None
-        conj = matrix_stack.conj()
-        post_mean = pv_stack * np.einsum("bnm,bn->bm", conj, solved[:, :, 0])
-        gain = np.einsum("bnm,bnm->bm", conj, solved[:, :, 1:]).real
-        return post_mean, gain
-
-    for iteration in range(1, config.max_iterations + 1):
-        pv_active = pv[active]
-        post_mean, gain = sweep(active, pv_active, iteration)
-        raw = pv_active - pv_active * pv_active * gain
-        pv_new = np.abs(post_mean) ** 2 + np.maximum(raw, 0.0)
-        change = np.max(np.abs(pv_new - pv_active), axis=1)
-        scale = np.maximum(1.0, pv_new.max(axis=1, initial=0.0))
-        pv[active] = pv_new
-        done = change < config.tolerance * scale
-        if np.any(done):
-            final_pv[active[done]] = pv_new[done]
-            active = active[~done]
-        if active.size == 0:
-            break
-    if active.size:
-        final_pv[active] = pv[active]
-    post_mean, _ = sweep(np.arange(count), final_pv,
-                         config.max_iterations + 1)
-    centers = np.array([band.center_index for band in bands])
-    return np.abs(post_mean[np.arange(count), centers])
+    means = np.broadcast_to(mean, (len(bands), mean.size))
+    try:
+        _, post_mean, _, _, _ = solve_stack(mats, means, pv, config)
+    except SolverNumericalError as exc:
+        centers = [round(float(np.degrees(bands[i].center)), 4)
+                   for i in exc.problems]
+        raise SolverNumericalError(
+            f"sub-band solve failed at centers {centers} deg: {exc.reason}",
+            exc.iteration) from None
+    centers = [band.center_index for band in bands]
+    return np.abs(post_mean[np.arange(len(bands)), centers])
 
 
 def solve_subband(band: SubBand, stat, config: SolverConfig,
@@ -185,7 +129,8 @@ def solve_subband(band: SubBand, stat, config: SolverConfig,
         return float(_solve_band_stack([band], stat, config, geometry)[0])
     except SolverNumericalError as exc:
         raise SolverNumericalError(
-            f"band centered at {np.degrees(band.center):.4f} deg failed: {exc}",
+            f"band centered at {np.degrees(band.center):.4f} deg failed: "
+            f"{exc.reason}",
             exc.iteration) from None
 
 
@@ -215,8 +160,3 @@ def superres_scan(plan: SubBandPlan, stat, config: SolverConfig,
             values[start:start + len(bands)] = _solve_band_stack(
                 list(bands), stat, config, geometry)
     return Spectrum(values=values, grid=plan.scan_grid)
-
-
-def detect_fine(spec: Spectrum, rule: PeakRule) -> PeakSelection:
-    """Peak-pick a stitched fine spectrum (same rules as the flat solver)."""
-    return select_peaks(spec, rule)

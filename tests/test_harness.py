@@ -1,6 +1,7 @@
 """Monte-Carlo harness tests: sampling, scoring, trials, calibration."""
 
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -108,9 +109,29 @@ class TestMatchAndScore:
             match_and_score([1.0], [0.0, 20.0])
 
     def test_too_many_sources_raises(self):
-        nine = list(range(9))
-        with pytest.raises(ValueError, match="at most 8"):
-            match_and_score(nine, nine)
+        # Nine estimates for eight truths: the surplus estimate has no
+        # partner.  Beyond that, the number of sources is not capped.
+        with pytest.raises(ValueError, match="equal-length"):
+            match_and_score(list(range(9)), list(range(8)))
+
+    def test_sorted_matching_is_optimal_and_uncapped(self):
+        # Brute force over all pairings for k <= 6, then a 10-source case
+        # beyond the reach of brute force; source counts stay bounded by
+        # the sensor count, not by the scorer.
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            k = int(rng.integers(1, 7))
+            est = rng.uniform(-90.0, 90.0, k)
+            tru = rng.uniform(-90.0, 90.0, k)
+            best = min(float(np.sum((est[list(p)] - tru) ** 2))
+                       for p in permutations(range(k)))
+            errors, rmse = match_and_score(est, tru)
+            assert rmse == pytest.approx(math.sqrt(best / k), rel=1e-12)
+            assert sorted(np.round(tru + errors, 9)) == sorted(np.round(est, 9))
+        truth = np.linspace(-45.0, 45.0, 10)
+        errors, rmse = match_and_score(truth[::-1] + 0.5, truth)
+        np.testing.assert_allclose(errors, 0.5)
+        assert rmse == pytest.approx(0.5)
 
 
 class TestScenarioConfig:
@@ -121,6 +142,7 @@ class TestScenarioConfig:
     def test_rejects_too_many_sources(self):
         with pytest.raises(ValueError):
             ScenarioConfig(k_sources=16, n_sensors=16)
+        assert ScenarioConfig(k_sources=10, n_sensors=16).k_sources == 10
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):

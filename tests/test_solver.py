@@ -30,6 +30,7 @@ from nuvdoa.solver import (
     random_uniform_init,
     select_peaks,
     solve,
+    solve_stack,
     spectrum,
     threshold,
 )
@@ -259,6 +260,33 @@ def test_solve_reports_nonconvergence_honestly():
     _, _, trace = solve(d, stat, cfg)
     assert trace.iterations == 2
     assert not trace.converged
+
+
+def test_stack_matches_problems_solved_alone():
+    """Problems leaving the stack at different sweeps keep their own results."""
+    rng = np.random.default_rng(8)
+    problems = [random_problem(rng, 4, 8) for _ in range(4)]
+    cfg = SolverConfig(sigma2=0.6, n_snapshots=3, max_iterations=400,
+                       tolerance=1e-4, init=random_uniform_init(2))
+    matrices = np.stack([a for a, _, _ in problems])
+    means = np.stack([ybar for _, _, ybar in problems])
+    pv = np.stack([initial_state(8, cfg.init).prior_variances] * 4)
+    final_pv, mean, variance, excursion, traces = solve_stack(
+        matrices, means, pv, cfg, keep_history=True)
+    assert len({trace.iterations for trace in traces}) > 1
+    for i, (a, _, ybar) in enumerate(problems):
+        state, moments, trace = solve(a, ybar, cfg, keep_history=True)
+        npt.assert_array_equal(final_pv[i], state.prior_variances)
+        npt.assert_array_equal(mean[i], moments.mean)
+        npt.assert_array_equal(variance[i], moments.variance)
+        assert excursion[i] == moments.clamp_excursion
+        assert traces[i].iterations == trace.iterations
+        assert traces[i].converged == trace.converged
+        assert traces[i].final_change == trace.final_change
+        assert traces[i].worst_clamp_excursion == trace.worst_clamp_excursion
+        assert len(traces[i].history) == trace.iterations + 1
+        for left, right in zip(traces[i].history, trace.history):
+            npt.assert_array_equal(left, right)
 
 
 def test_initial_state_random_bounds_and_determinism():

@@ -9,9 +9,17 @@ from nuvdoa.arrays import (
     UlaGeometry,
     simulate_snapshots,
     snapshot_mean,
+    steering_matrix,
 )
-from nuvdoa.solver import SolverConfig, SolverNumericalError, constant_init, fixed_k
-from nuvdoa.subbands import detect_fine, plan_subbands, solve_subband, superres_scan
+from nuvdoa.solver import (
+    SolverConfig,
+    SolverNumericalError,
+    constant_init,
+    fixed_k,
+    select_peaks,
+    solve,
+)
+from nuvdoa.subbands import plan_subbands, solve_subband, superres_scan
 
 FINE = np.radians(0.01)
 ALPHA = np.radians(0.5)
@@ -229,6 +237,24 @@ class TestSuperresScan:
             ratios.append(on / far)
         assert np.median(ratios) > 5.0
 
+    def test_scan_values_match_unpadded_solves(self):
+        # Bands near +90 deg are clipped to different widths, so the stack
+        # pads them; each center value still equals a plain solve of the
+        # band's own dictionary.
+        theta = np.radians(89.6)
+        geom = UlaGeometry(16)
+        stat = _single_source_stat(theta, n_snapshots=40, snr_db=10.0, seed=4)
+        cfg = SolverConfig(
+            sigma2=0.7, n_snapshots=40, max_iterations=50, init=constant_init(1.0)
+        )
+        plan = plan_subbands(theta - 3 * FINE, theta + 3 * FINE, FINE, ALPHA)
+        assert len({b.grid.values.size for b in plan.bands}) > 1
+        spec = superres_scan(plan, stat, cfg, geom)
+        for value, band in zip(spec.values, plan.bands):
+            _, moments, _ = solve(steering_matrix(band.grid.values, geom), stat, cfg)
+            direct = np.abs(moments.mean[band.center_index])
+            assert abs(value - direct) <= 1e-12 * direct
+
     def test_failure_lists_band_centers(self):
         geom = UlaGeometry(8)
         stat = SufficientStatistic(mean=np.ones(8, dtype=complex), n_snapshots=1)
@@ -241,7 +267,7 @@ class TestSuperresScan:
                 superres_scan(plan, stat, cfg, geom)
 
 
-def test_detect_fine_delegates_to_peak_selection():
+def test_select_peaks_on_stitched_spectrum():
     theta = np.radians(3.17)
     geom = UlaGeometry(16)
     stat = _single_source_stat(theta, n_snapshots=1, snr_db=np.inf, seed=0)
@@ -250,6 +276,6 @@ def test_detect_fine_delegates_to_peak_selection():
         sigma2=1e-2, n_snapshots=1, max_iterations=60, init=constant_init(1.0)
     )
     spec = superres_scan(plan, stat, cfg, geom)
-    picked = detect_fine(spec, fixed_k(1))
+    picked = select_peaks(spec, fixed_k(1))
     assert picked.angles.size == 1
     assert picked.angles[0] == pytest.approx(theta, abs=2 * FINE)
