@@ -10,26 +10,18 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .arrays import (
-    UlaGeometry,
-    build_dictionary,
-    build_grid,
-    sample_covariance,
-    snapshot_mean,
-)
-from .baselines import bartlett_spectrum, music_spectrum, mvdr_spectrum
+from .arrays import UlaGeometry, snapshot_mean
 from .harness import (
     DEFAULT_SIGMA2_CANDIDATES,
-    DoaSampling,
-    PipelineSettings,
+    METHOD_TABLE,
+    SPECTRUM_METHODS,
     ScenarioConfig,
-    SolverSettings,
     calibrate_epsilon,
     calibrate_sigma2,
     run_sweep,
@@ -43,77 +35,79 @@ from .reports import (
     write_spectrum_csv,
     write_summary_csv,
 )
-from .solver import SolverNumericalError, Spectrum, solve, spectrum
+from .solver import SolverNumericalError, Spectrum
 from .subbands import plan_subbands, superres_scan
+
+# ScenarioConfig fields that configs write under the `scenario:` section.
+_SCENARIO_KEYS = ("k_sources", "n_sensors", "n_snapshots", "snr_db", "source_model")
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _section(raw: dict, key: str) -> dict:
-    value = raw.get(key, {})
+def _section(value, name: str) -> dict:
     if value is None:
         return {}
     if not isinstance(value, dict):
-        raise ConfigError(f"config section {key!r} must be a mapping")
-    return dict(value)
+        raise ConfigError(f"config section {name!r} must be a mapping")
+    return value
+
+
+def _build(default, raw: dict, prefix: str = ""):
+    """``default`` with the values of ``raw`` put in, field by field.
+
+    Keys are the dataclass's field names; a dataclass-valued field reads a
+    nested mapping, a tuple-valued field a list, a bool-valued field a YAML
+    boolean.  An omitted key keeps its value in ``default``.
+    """
+    changes = {}
+    for key, value in raw.items():
+        name = prefix + key
+        current = getattr(default, key)
+        if is_dataclass(current):
+            value = _build(current, _section(value, name), name + ".")
+        elif isinstance(current, tuple):
+            value = tuple(value)
+        elif isinstance(current, bool) and not isinstance(value, bool):
+            raise ConfigError(f"{name} must be true or false")
+        changes[key] = value
+    return replace(default, **changes)
+
+
+def _dotted(mapping: dict, prefix: str = ""):
+    """The dotted path of every key in a nest of mappings."""
+    for key, value in mapping.items():
+        yield prefix + str(key)
+        if isinstance(value, dict):
+            yield from _dotted(value, prefix + str(key) + ".")
+
+
+def config_keys() -> set:
+    """Every dotted key that ``parse_config`` accepts."""
+    layout = asdict(ScenarioConfig())
+    layout["scenario"] = {key: layout.pop(key) for key in _SCENARIO_KEYS}
+    return {"schema_version", *_dotted(layout)}
 
 
 def parse_config(raw: dict) -> ScenarioConfig:
+    """A ScenarioConfig from a YAML mapping; every omitted key takes the
+    dataclass default, and an unknown key is an error."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    version = raw.get("schema_version", 1)
+    accepted = config_keys()
+    unknown = [key for key in _dotted(raw) if key not in accepted]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
+    raw = dict(raw)
+    version = raw.pop("schema_version", 1)
     if version != 1:
         raise ConfigError(f"unsupported schema_version {version!r}")
-    scenario = _section(raw, "scenario")
-    sampling_raw = _section(raw, "doa_sampling")
-    solver_raw = _section(raw, "solver")
-    init_raw = solver_raw.pop("init", {}) or {}
-    pipeline_raw = _section(raw, "pipeline")
+    scenario = _section(raw.pop("scenario", None), "scenario")
     try:
-        sampling = DoaSampling(
-            kind=sampling_raw.get("kind", "uniform_range"),
-            angles_deg=tuple(sampling_raw.get("angles_deg", ())),
-            lo_deg=sampling_raw.get("lo_deg", -75.0),
-            hi_deg=sampling_raw.get("hi_deg", 75.0),
-            min_separation_deg=sampling_raw.get("min_separation_deg", 0.0),
-        )
-        solver = SolverSettings(
-            sigma2=solver_raw.get("sigma2"),
-            max_iterations=solver_raw.get("max_iterations", 500),
-            tolerance=solver_raw.get("tolerance", 1e-6),
-            init_kind=init_raw.get("kind", "constant"),
-            init_value=init_raw.get("value", 1.0),
-            init_seed=init_raw.get("seed", 0),
-        )
-        pipeline = PipelineSettings(
-            snr_gate_db=pipeline_raw.get("snr_gate_db", 7.0),
-            coarse_cells=pipeline_raw.get("coarse_cells", 1801),
-            fine_step_deg=pipeline_raw.get("fine_step_deg", 0.01),
-            half_width_deg=pipeline_raw.get("half_width_deg", 0.5),
-            known_snr=pipeline_raw.get("known_snr"),
-        )
-        return ScenarioConfig(
-            k_sources=scenario.get("k_sources", 1),
-            n_sensors=scenario.get("n_sensors", 16),
-            n_snapshots=scenario.get("n_snapshots", 100),
-            snr_db=scenario.get("snr_db", 10.0),
-            source_model=scenario.get("source_model", "noncoherent"),
-            method=raw.get("method", "nuv_doa"),
-            methods=tuple(raw.get("methods", ())),
-            trials=raw.get("trials", 100),
-            seed=raw.get("seed", 0),
-            doa_sampling=sampling,
-            snr_sweep=tuple(raw.get("snr_sweep", ())),
-            solver=solver,
-            pipeline=pipeline,
-            flat_grid_cells=raw.get("flat_grid_cells", 3000),
-            baseline_grid_cells=raw.get("baseline_grid_cells", 1801),
-            detection_threshold_deg=raw.get("detection_threshold_deg", 1.0),
-            timing=bool(raw.get("timing", False)),
-            workers=raw.get("workers", 1),
-        )
+        return _build(ScenarioConfig(), {**raw, **scenario})
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -152,30 +146,17 @@ def cmd_simulate(config: ScenarioConfig, args) -> int:
 
 def _spectrum_for(config: ScenarioConfig, method: str, args) -> Spectrum:
     _, batch = simulate_trial(config, 0)
+    if method != "superres":
+        _, method_spectrum = METHOD_TABLE[method]
+        return method_spectrum(batch, config, config.snr_db)
     pipeline = config.pipeline_config()
     solver_cfg = pipeline.solver_config(
         config.n_snapshots, pipeline.resolve_sigma2(config.snr_db))
-    if method == "nuv_ssr_flat":
-        grid = build_grid(config.flat_grid_cells)
-        dictionary = build_dictionary(grid, UlaGeometry(config.n_sensors))
-        _, moments, _ = solve(dictionary, snapshot_mean(batch), solver_cfg)
-        return spectrum(moments, grid)
-    if method == "superres":
-        plan = plan_subbands(math.radians(args.scan_lo_deg),
-                             math.radians(args.scan_hi_deg),
-                             pipeline.fine_step, pipeline.half_width)
-        return superres_scan(plan, snapshot_mean(batch), solver_cfg,
-                             UlaGeometry(config.n_sensors),
-                             workers=pipeline.workers)
-    grid = build_grid(config.baseline_grid_cells)
-    cov = sample_covariance(batch)
-    if method == "bartlett":
-        return bartlett_spectrum(cov, grid)
-    if method == "mvdr":
-        return mvdr_spectrum(cov, grid)
-    if method == "music":
-        return music_spectrum(cov, grid, config.k_sources)
-    raise ConfigError(f"spectrum does not support method {method!r}")
+    plan = plan_subbands(math.radians(args.scan_lo_deg),
+                         math.radians(args.scan_hi_deg),
+                         pipeline.fine_step, pipeline.half_width)
+    return superres_scan(plan, snapshot_mean(batch), solver_cfg,
+                         UlaGeometry(config.n_sensors), workers=pipeline.workers)
 
 
 def cmd_spectrum(config: ScenarioConfig, args) -> int:
@@ -243,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="one trial's spectrum as CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--method", required=True,
-                   choices=("nuv_ssr_flat", "superres", "bartlett", "mvdr", "music"))
+                   choices=SPECTRUM_METHODS + ("superres",))
     p.add_argument("--out", required=True)
     p.add_argument("--scan-lo-deg", type=float, default=-75.0, dest="scan_lo_deg")
     p.add_argument("--scan-hi-deg", type=float, default=75.0, dest="scan_hi_deg")

@@ -39,17 +39,15 @@ from .pipeline import (
     estimate_multisource,
 )
 from .solver import (
+    InitSpec,
     SolverConfig,
     SolverNumericalError,
     constant_init,
     fixed_k,
-    random_uniform_init,
     select_peaks,
     solve,
     spectrum,
 )
-
-METHODS = ("nuv_doa", "nuv_ssr_flat", "bartlett", "mvdr", "music", "root_music")
 
 DEFAULT_SIGMA2_CANDIDATES = (3e0, 1e1, 3e1, 1e2, 3e2, 8e2, 3e3, 1e4)
 
@@ -111,9 +109,7 @@ class SolverSettings:
     sigma2: float | None = None
     max_iterations: int = 500
     tolerance: float = 1e-6
-    init_kind: str = "constant"
-    init_value: float = 1.0
-    init_seed: int = 0
+    init: InitSpec = constant_init(1.0)
 
 
 @dataclass(frozen=True)
@@ -164,6 +160,8 @@ class ScenarioConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        # Build the derived configs once, so their checks fire here.
+        self.solver_config(1.0 if self.solver.sigma2 is None else self.solver.sigma2)
 
     @property
     def method_list(self) -> tuple:
@@ -172,11 +170,6 @@ class ScenarioConfig:
     @property
     def snr_list(self) -> tuple:
         return self.snr_sweep if self.snr_sweep else (self.snr_db,)
-
-    def _init_spec(self):
-        if self.solver.init_kind == "constant":
-            return constant_init(self.solver.init_value)
-        return random_uniform_init(self.solver.init_seed)
 
     def solver_config(self, sigma2: float) -> SolverConfig:
         return self.pipeline_config().solver_config(self.n_snapshots, sigma2)
@@ -195,7 +188,7 @@ class ScenarioConfig:
             known_snr_db=known,
             max_iterations=self.solver.max_iterations,
             tolerance=self.solver.tolerance,
-            init=self._init_spec(),
+            init=self.solver.init,
             workers=self.workers,
         )
 
@@ -249,30 +242,45 @@ def match_and_score(estimates_deg, truth_deg):
     return errors, math.sqrt(float(np.sum(errors ** 2)) / est.size)
 
 
-def _flat_estimates(batch, config: ScenarioConfig, snr_db: float):
-    geometry = UlaGeometry(config.n_sensors)
+# Method table entries take (batch, config, snr_db).  They call the imported
+# functions through this module's globals at call time, so wrapping those
+# globals (as perfbench/tracing.py does) reaches every method.
+
+def _nuv_doa(batch, config: ScenarioConfig, snr_db: float):
+    pl = config.pipeline_config(snr_db)
+    angles, trace = estimate_multisource(batch, config.k_sources, pl)
+    return angles, tuple(trace.flags)
+
+
+def _nuv_ssr_flat(batch, config: ScenarioConfig, snr_db: float):
     grid = build_grid(config.flat_grid_cells)
-    dictionary = build_dictionary(grid, geometry)
-    stat = snapshot_mean(batch)
+    dictionary = build_dictionary(grid, UlaGeometry(config.n_sensors))
     sigma2 = config.pipeline_config().resolve_sigma2(snr_db)
-    _, moments, _ = solve(dictionary, stat, config.solver_config(sigma2))
-    peaks = select_peaks(spectrum(moments, grid), fixed_k(config.k_sources))
-    flags = ("peak_fallback_filled",) if peaks.fallback_filled else ()
-    return np.sort(peaks.angles), flags
+    _, moments, _ = solve(dictionary, snapshot_mean(batch), config.solver_config(sigma2))
+    return spectrum(moments, grid)
 
 
-def _grid_baseline_estimates(batch, config: ScenarioConfig, kind: str):
-    grid = build_grid(config.baseline_grid_cells)
-    cov = sample_covariance(batch)
-    if kind == "bartlett":
-        spec = bartlett_spectrum(cov, grid)
-    elif kind == "mvdr":
-        spec = mvdr_spectrum(cov, grid)
-    else:
-        spec = music_spectrum(cov, grid, config.k_sources)
-    peaks = select_peaks(spec, fixed_k(config.k_sources))
-    flags = ("peak_fallback_filled",) if peaks.fallback_filled else ()
-    return np.sort(peaks.angles), flags
+def _covariance_on_grid(batch, config: ScenarioConfig):
+    return sample_covariance(batch), build_grid(config.baseline_grid_cells)
+
+
+# name -> ("spectrum", function returning a Spectrum that run_method
+# peak-picks) or ("estimator", function returning sorted radians and flags).
+METHOD_TABLE = {
+    "nuv_doa": ("estimator", _nuv_doa),
+    "nuv_ssr_flat": ("spectrum", _nuv_ssr_flat),
+    "bartlett": ("spectrum", lambda batch, config, snr_db:
+                 bartlett_spectrum(*_covariance_on_grid(batch, config))),
+    "mvdr": ("spectrum", lambda batch, config, snr_db:
+             mvdr_spectrum(*_covariance_on_grid(batch, config))),
+    "music": ("spectrum", lambda batch, config, snr_db:
+              music_spectrum(*_covariance_on_grid(batch, config), config.k_sources)),
+    "root_music": ("estimator", lambda batch, config, snr_db:
+                   (root_music(sample_covariance(batch), config.k_sources), ())),
+}
+
+METHODS = tuple(METHOD_TABLE)
+SPECTRUM_METHODS = tuple(m for m, (kind, _) in METHOD_TABLE.items() if kind == "spectrum")
 
 
 def run_method(batch, method: str, config: ScenarioConfig, snr_db: float):
@@ -281,20 +289,17 @@ def run_method(batch, method: str, config: ScenarioConfig, snr_db: float):
     Failures surface as a ``None`` estimate with a flag rather than an
     exception, so sweeps keep going.
     """
+    kind, func = METHOD_TABLE[method]
     try:
-        if method == "nuv_doa":
-            pl = config.pipeline_config(snr_db)
-            angles, trace = estimate_multisource(batch, config.k_sources, pl)
-            return angles, tuple(trace.flags)
-        if method == "nuv_ssr_flat":
-            return _flat_estimates(batch, config, snr_db)
-        if method == "root_music":
-            return root_music(sample_covariance(batch), config.k_sources), ()
-        return _grid_baseline_estimates(batch, config, method)
+        if kind == "estimator":
+            return func(batch, config, snr_db)
+        peaks = select_peaks(func(batch, config, snr_db), fixed_k(config.k_sources))
     except RootDeficitError:
         return None, ("root_deficit",)
     except SolverNumericalError:
         return None, ("solver_numerical_failure",)
+    flags = ("peak_fallback_filled",) if peaks.fallback_filled else ()
+    return np.sort(peaks.angles), flags
 
 
 def simulate_trial(config: ScenarioConfig, trial_index: int,

@@ -3,13 +3,20 @@
 import argparse
 import csv
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from nuvdoa.cli import ConfigError, load_config, main, parse_config
+from nuvdoa.cli import ConfigError, config_keys, load_config, main, parse_config
+from nuvdoa.harness import SPECTRUM_METHODS, run_trial
 from nuvdoa.reports import load_error_table, load_report, load_sigma2_table
+from nuvdoa.solver import constant_init, random_uniform_init
+
+SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "config_schema.md"
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -52,7 +59,7 @@ class TestParseConfig:
         assert config.snr_list == (0.0, 10.0)
         assert config.k_sources == 2
         assert config.solver.sigma2 == 3.0
-        assert config.solver.init_value == 2.0
+        assert config.solver.init.value == 2.0
         assert config.pipeline.known_snr == "scenario"
         assert config.pipeline.coarse_cells == 901
 
@@ -73,6 +80,46 @@ class TestParseConfig:
             parse_config({"trials": 0})
         with pytest.raises(ConfigError, match="unknown method"):
             parse_config({"method": "esprit"})
+
+    def test_init_section_becomes_init_spec(self):
+        assert parse_config({}).solver.init == constant_init(1.0)
+        config = parse_config({"solver": {"init": {"kind": "random_uniform", "seed": 3}}})
+        assert config.solver.init == random_uniform_init(3)
+        assert config.pipeline_config().init == random_uniform_init(3)
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"trails": 3}, "trails"),
+        ({"k_sources": 2}, "k_sources"),
+        ({"scenario": {"snr": 3.0}}, "scenario.snr"),
+        ({"scenario": {"trials": 3}}, "scenario.trials"),
+        ({"doa_sampling": {"angles": [1.0]}}, "doa_sampling.angles"),
+        ({"solver": {"max_iteration": 50}}, "solver.max_iteration"),
+        ({"solver": {"init": {"valu": 2.0}}}, "solver.init.valu"),
+        ({"pipeline": {"known_snr_db": 3.0}}, "pipeline.known_snr_db"),
+    ])
+    def test_rejects_unknown_keys_by_dotted_name(self, raw, key):
+        with pytest.raises(ConfigError, match=f"unknown config key '{re.escape(key)}'"):
+            parse_config(raw)
+
+    def test_timing_needs_a_yaml_boolean(self):
+        assert parse_config({"timing": True}).timing is True
+        with pytest.raises(ConfigError, match="timing must be true or false"):
+            parse_config({"timing": "false"})
+
+    def test_schema_doc_lists_every_key_with_its_default(self):
+        block = re.search(r"```yaml\n(.*?)```", SCHEMA_DOC.read_text(), re.S).group(1)
+        documented = yaml.safe_load(block)
+
+        def dotted(mapping, prefix=""):
+            for key, value in mapping.items():
+                yield prefix + key
+                if isinstance(value, dict):
+                    yield from dotted(value, prefix + key + ".")
+
+        assert set(dotted(documented)) == config_keys()
+        parsed = parse_config(documented)
+        assert parsed.methods and parsed.snr_sweep
+        assert replace(parsed, methods=(), snr_sweep=()) == parse_config({})
 
 
 class TestLoadConfig:
@@ -170,6 +217,19 @@ class TestSpectrumCommand:
             rows = list(csv.reader(handle))
         assert len(rows) == 42
 
+    @pytest.mark.parametrize("method", SPECTRUM_METHODS)
+    def test_argmax_matches_run_trial_estimate(self, tmp_path, method):
+        path = _write_config(tmp_path)
+        out = tmp_path / f"{method}.csv"
+        assert main(["spectrum", "--config", str(path), "--method", method,
+                     "--out", str(out)]) == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        argmax = max(rows, key=lambda row: float(row[1]))
+        record = run_trial(load_config(path, argparse.Namespace(seed=None, workers=None)),
+                           0, method=method)
+        assert record.estimates_deg == (float(argmax[0]),)
+
     def test_unsupported_method_rejected_by_parser(self, tmp_path):
         path = _write_config(tmp_path)
         with pytest.raises(SystemExit):
@@ -241,6 +301,19 @@ class TestExitCodes:
         path = _write_config(tmp_path, {"schema_version": 2})
         assert main(["estimate", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"solver": {"init": {"kind": "constnat"}}}, "unknown init kind 'constnat'"),
+        ({"solver": {"init": {"value": -1}}}, "constant init value must be positive"),
+        ({"pipeline": {"fine_step_deg": 0}}, "need 0 < fine_step <= half_width"),
+        ({"pipeline": {"coarse_cells": 1}}, "coarse grid needs at least 2 cells"),
+        ({"solver": {"max_iterations": 0}}, "max_iterations must be positive"),
+        ({"solver": {"max_iteration": 50}}, "unknown config key 'solver.max_iteration'"),
+    ])
+    def test_invalid_settings_are_two(self, tmp_path, capsys, overrides, message):
+        path = _write_config(tmp_path, overrides)
+        assert main(["estimate", "--config", str(path)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
     def test_missing_config_is_two(self, tmp_path):
         assert main(["estimate", "--config", str(tmp_path / "nope.yaml")]) == 2
