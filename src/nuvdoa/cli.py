@@ -12,6 +12,8 @@ import math
 import sys
 from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -28,6 +30,7 @@ from .harness import (
     run_trial,
     simulate_trial,
 )
+from .pipeline import resolve_sigma2
 from .reports import (
     dump_error_table,
     dump_report,
@@ -54,23 +57,58 @@ def _section(value, name: str) -> dict:
     return value
 
 
+_TYPE_NAMES = {type(None): "null", bool: "true or false", int: "an integer",
+               float: "a number", str: "a string"}
+
+
+def _fits(kind, value) -> bool:
+    if get_origin(kind) is Literal:
+        return value in get_args(kind)
+    if isinstance(value, bool) and kind is not bool:
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_type(name: str, kind, value):
+    """Check ``value`` against a field annotated ``kind`` and return it as
+    the field stores it; a mismatch is a ConfigError.
+
+    An int field takes no float or bool, a float field also takes an int,
+    and a tuple field takes a list whose items fit its item type.
+    """
+    if get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list")
+        item = get_args(kind)[0]
+        for index, entry in enumerate(value):
+            _check_type(f"{name}[{index}]", item, entry)
+        return tuple(value)
+    options = get_args(kind) if get_origin(kind) in (Union, UnionType) else (kind,)
+    if not any(_fits(option, value) for option in options):
+        names = [" or ".join(map(repr, get_args(option)))
+                 if get_origin(option) is Literal else _TYPE_NAMES[option]
+                 for option in options]
+        wanted = names[-1] if len(names) == 1 else (
+            ", ".join(names[:-1]) + " or " + names[-1])
+        raise ConfigError(f"{name} must be {wanted}")
+    return value
+
+
 def _build(default, raw: dict, prefix: str = ""):
     """``default`` with the values of ``raw`` put in, field by field.
 
     Keys are the dataclass's field names; a dataclass-valued field reads a
-    nested mapping, a tuple-valued field a list, a bool-valued field a YAML
-    boolean.  An omitted key keeps its value in ``default``.
+    nested mapping, any other field a value of its annotated type (see
+    ``_check_type``).  An omitted key keeps its value in ``default``.
     """
+    kinds = get_type_hints(type(default))
     changes = {}
     for key, value in raw.items():
         name = prefix + key
-        current = getattr(default, key)
-        if is_dataclass(current):
-            value = _build(current, _section(value, name), name + ".")
-        elif isinstance(current, tuple):
-            value = tuple(value)
-        elif isinstance(current, bool) and not isinstance(value, bool):
-            raise ConfigError(f"{name} must be true or false")
+        if is_dataclass(kinds[key]):
+            value = _build(getattr(default, key), _section(value, name), name + ".")
+        else:
+            value = _check_type(name, kinds[key], value)
         changes[key] = value
     return replace(default, **changes)
 
@@ -149,14 +187,13 @@ def _spectrum_for(config: ScenarioConfig, method: str, args) -> Spectrum:
     if method != "superres":
         _, method_spectrum = METHOD_TABLE[method]
         return method_spectrum(batch, config, config.snr_db)
-    pipeline = config.pipeline_config()
-    solver_cfg = pipeline.solver_config(
-        config.n_snapshots, pipeline.resolve_sigma2(config.snr_db))
+    solver_cfg = config.solver_config(resolve_sigma2(config.solver, config.snr_db))
     plan = plan_subbands(math.radians(args.scan_lo_deg),
                          math.radians(args.scan_hi_deg),
-                         pipeline.fine_step, pipeline.half_width)
+                         math.radians(config.pipeline.fine_step_deg),
+                         math.radians(config.pipeline.half_width_deg))
     return superres_scan(plan, snapshot_mean(batch), solver_cfg,
-                         UlaGeometry(config.n_sensors), workers=pipeline.workers)
+                         UlaGeometry(config.n_sensors), workers=config.workers)
 
 
 def cmd_spectrum(config: ScenarioConfig, args) -> int:

@@ -1,7 +1,8 @@
 """Monte-Carlo benchmark harness: scenario configs, trials, sweeps, calibration.
 
 Angles cross this boundary in degrees; everything handed to the estimation
-modules is converted to radians first.  A trial is a pure function of
+modules is converted to radians first, except the solver and pipeline
+settings, which keep config-file units and are converted where they are used.  A trial is a pure function of
 (config, trial_index): the trial seed is ``config.seed + trial_index``, the
 direction draw uses an rng derived from that seed, and the same seed drives
 the snapshot simulation.
@@ -33,16 +34,16 @@ from .baselines import (
 )
 from .pipeline import (
     ErrorStdTable,
-    PipelineConfig,
+    PipelineSettings,
     Sigma2Table,
     coarse_estimate,
     estimate_multisource,
+    resolve_sigma2,
 )
 from .solver import (
-    InitSpec,
     SolverConfig,
     SolverNumericalError,
-    constant_init,
+    SolverSettings,
     fixed_k,
     select_peaks,
     solve,
@@ -65,7 +66,7 @@ class DoaSampling:
     """
 
     kind: str
-    angles_deg: tuple = ()
+    angles_deg: tuple[float, ...] = ()
     lo_deg: float = -75.0
     hi_deg: float = 75.0
     min_separation_deg: float = 0.0
@@ -84,11 +85,23 @@ class DoaSampling:
             if self.kind == "uniform_abs_range" and self.lo_deg < 0:
                 raise ValueError("abs-range bounds must be nonnegative")
 
-    def draw(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        """Sorted true directions in radians."""
+    def check(self, k: int) -> None:
+        """Raise ValueError unless some draw of ``k`` directions exists."""
         if self.kind == "fixed":
             if len(self.angles_deg) != k:
                 raise ValueError("fixed angle count does not match k_sources")
+            return
+        span = self.hi_deg - self.lo_deg
+        if self.kind == "uniform_abs_range":
+            span = 2.0 * self.hi_deg
+        if (k - 1) * self.min_separation_deg >= span:
+            raise ValueError(f"no {k} directions fit in the sampling range "
+                             f"more than min_separation_deg apart")
+
+    def draw(self, k: int, rng: np.random.Generator) -> np.ndarray:
+        """Sorted true directions in radians."""
+        if self.kind == "fixed":
+            self.check(k)
             return np.sort(np.radians(self.angles_deg))
         for _ in range(100):
             if self.kind == "uniform_range":
@@ -103,31 +116,6 @@ class DoaSampling:
 
 
 @dataclass(frozen=True)
-class SolverSettings:
-    """Solver knobs as they appear in config files."""
-
-    sigma2: float | None = None
-    max_iterations: int = 500
-    tolerance: float = 1e-6
-    init: InitSpec = constant_init(1.0)
-
-
-@dataclass(frozen=True)
-class PipelineSettings:
-    """Hierarchical-pipeline knobs as they appear in config files.
-
-    ``known_snr`` is one of None (estimate from data), "scenario" (hand the
-    pipeline the true simulated SNR), or a number in dB.
-    """
-
-    snr_gate_db: float = 7.0
-    coarse_cells: int = 1801
-    fine_step_deg: float = 0.01
-    half_width_deg: float = 0.5
-    known_snr: float | str | None = None
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     """One benchmark cell family: scenario, method(s), trial schedule."""
 
@@ -137,11 +125,11 @@ class ScenarioConfig:
     snr_db: float = 10.0
     source_model: str = "noncoherent"
     method: str = "nuv_doa"
-    methods: tuple = ()
+    methods: tuple[str, ...] = ()
     trials: int = 100
     seed: int = 0
     doa_sampling: DoaSampling = field(default_factory=lambda: DoaSampling("uniform_range"))
-    snr_sweep: tuple = ()
+    snr_sweep: tuple[float, ...] = ()
     solver: SolverSettings = field(default_factory=SolverSettings)
     pipeline: PipelineSettings = field(default_factory=PipelineSettings)
     flat_grid_cells: int = 3000
@@ -160,7 +148,8 @@ class ScenarioConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
-        # Build the derived configs once, so their checks fire here.
+        self.doa_sampling.check(self.k_sources)
+        # Build a solver spec once, so its checks fire here.
         self.solver_config(1.0 if self.solver.sigma2 is None else self.solver.sigma2)
 
     @property
@@ -172,25 +161,13 @@ class ScenarioConfig:
         return self.snr_sweep if self.snr_sweep else (self.snr_db,)
 
     def solver_config(self, sigma2: float) -> SolverConfig:
-        return self.pipeline_config().solver_config(self.n_snapshots, sigma2)
+        return self.solver.solver_config(self.n_snapshots, sigma2)
 
-    def pipeline_config(self, snr_db: float | None = None) -> PipelineConfig:
-        """Resolve pipeline settings; "scenario" pins the given true SNR."""
-        known = self.pipeline.known_snr
-        if known == "scenario":
-            known = self.snr_db if snr_db is None else snr_db
-        return PipelineConfig(
-            snr_gate_db=self.pipeline.snr_gate_db,
-            coarse_cells=self.pipeline.coarse_cells,
-            fine_step=math.radians(self.pipeline.fine_step_deg),
-            half_width=math.radians(self.pipeline.half_width_deg),
-            sigma2=self.solver.sigma2,
-            known_snr_db=known,
-            max_iterations=self.solver.max_iterations,
-            tolerance=self.solver.tolerance,
-            init=self.solver.init,
-            workers=self.workers,
-        )
+    def pipeline_settings(self, snr_db: float) -> PipelineSettings:
+        """The pipeline settings with ``known_snr: "scenario"`` pinned to ``snr_db``."""
+        if self.pipeline.known_snr == "scenario":
+            return replace(self.pipeline, known_snr=snr_db)
+        return self.pipeline
 
 
 @dataclass(frozen=True)
@@ -247,15 +224,16 @@ def match_and_score(estimates_deg, truth_deg):
 # globals (as perfbench/tracing.py does) reaches every method.
 
 def _nuv_doa(batch, config: ScenarioConfig, snr_db: float):
-    pl = config.pipeline_config(snr_db)
-    angles, trace = estimate_multisource(batch, config.k_sources, pl)
+    angles, trace = estimate_multisource(
+        batch, config.k_sources, config.pipeline_settings(snr_db),
+        config.solver, config.workers)
     return angles, tuple(trace.flags)
 
 
 def _nuv_ssr_flat(batch, config: ScenarioConfig, snr_db: float):
     grid = build_grid(config.flat_grid_cells)
     dictionary = build_dictionary(grid, UlaGeometry(config.n_sensors))
-    sigma2 = config.pipeline_config().resolve_sigma2(snr_db)
+    sigma2 = resolve_sigma2(config.solver, snr_db)
     _, moments, _ = solve(dictionary, snapshot_mean(batch), config.solver_config(sigma2))
     return spectrum(moments, grid)
 
@@ -401,11 +379,12 @@ def calibrate_epsilon(config: ScenarioConfig):
     entry_flags = []
     for snr_db in config.snr_list:
         good = []
-        cfg = config.pipeline_config(snr_db)
+        settings = config.pipeline_settings(snr_db)
         for i in range(config.trials):
             scenario, batch = simulate_trial(config, i, snr_db)
             try:
-                coarse = coarse_estimate(batch, config.k_sources, cfg)
+                coarse = coarse_estimate(batch, config.k_sources, settings,
+                                         config.solver)
             except (RootDeficitError, SolverNumericalError):
                 continue
             errors, _ = match_and_score(np.degrees(coarse.angles),

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from importlib import resources
+from typing import Literal
 
 import numpy as np
 
@@ -29,9 +30,7 @@ from .arrays import (
 )
 from .baselines import RootDeficitError, root_music
 from .solver import (
-    InitSpec,
-    SolverConfig,
-    constant_init,
+    SolverSettings,
     fixed_k,
     select_peaks,
     solve,
@@ -108,8 +107,8 @@ def _load_packaged(name: str) -> dict:
         return json.load(handle)
 
 
-def load_default_error_table() -> ErrorStdTable:
-    payload = _load_packaged("epsilon_table.json")
+def error_table_from_payload(payload: dict) -> ErrorStdTable:
+    """An ErrorStdTable from a parsed ``{"entries": [...]}`` table file."""
     entries = payload["entries"]
     return ErrorStdTable(
         snrs_db=tuple(e["snr_db"] for e in entries),
@@ -117,8 +116,8 @@ def load_default_error_table() -> ErrorStdTable:
     )
 
 
-def load_default_sigma2_table() -> Sigma2Table:
-    payload = _load_packaged("sigma2_table.json")
+def sigma2_table_from_payload(payload: dict) -> Sigma2Table:
+    """A Sigma2Table from a parsed ``{"entries": [...]}`` table file."""
     entries = payload["entries"]
     return Sigma2Table(
         snrs_db=tuple(e["snr_db"] for e in entries),
@@ -126,54 +125,50 @@ def load_default_sigma2_table() -> Sigma2Table:
     )
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Knobs of the hierarchical estimator.
+def load_default_error_table() -> ErrorStdTable:
+    return error_table_from_payload(_load_packaged("epsilon_table.json"))
 
-    ``sigma2 = None`` resolves the solver tuning from the SNR-indexed table;
-    ``known_snr_db = None`` makes the pipeline estimate the SNR from the
-    sample covariance instead of trusting a declared value.
+
+def load_default_sigma2_table() -> Sigma2Table:
+    return sigma2_table_from_payload(_load_packaged("sigma2_table.json"))
+
+
+def resolve_sigma2(solver: SolverSettings, snr_db: float) -> float:
+    """The solver noise floor: the configured one, else the packaged table's."""
+    if solver.sigma2 is not None:
+        return solver.sigma2
+    return load_default_sigma2_table().sigma2_for(snr_db)
+
+
+def resolve_epsilon(snr_db: float) -> float:
+    """Coarse-error window half-scale (radians) from the packaged table."""
+    return load_default_error_table().epsilon_for(snr_db)
+
+
+@dataclass(frozen=True)
+class PipelineSettings:
+    """Knobs of the hierarchical estimator, in degrees as in config files.
+
+    ``known_snr`` is None (estimate the SNR from the sample covariance), a
+    number in dB, or "scenario", which the harness replaces with the
+    trial's true SNR before the pipeline sees it.
     """
 
     snr_gate_db: float = 7.0
     coarse_cells: int = 1801
-    fine_step: float = math.radians(0.01)
-    half_width: float = math.radians(0.5)
-    sigma2: float | None = None
-    sigma2_table: Sigma2Table | None = None
-    error_table: ErrorStdTable | None = None
-    known_snr_db: float | None = None
-    max_iterations: int = 500
-    tolerance: float = 1e-6
-    init: InitSpec = field(default_factory=lambda: constant_init(1.0))
-    workers: int = 1
+    fine_step_deg: float = 0.01
+    half_width_deg: float = 0.5
+    known_snr: float | Literal["scenario"] | None = None
 
     def __post_init__(self):
+        fine_step = math.radians(self.fine_step_deg)
+        half_width = math.radians(self.half_width_deg)
         if self.coarse_cells < 2:
             raise ValueError("coarse grid needs at least 2 cells")
-        if self.fine_step <= 0 or self.half_width < self.fine_step:
+        if fine_step <= 0 or half_width < fine_step:
             raise ValueError("need 0 < fine_step <= half_width")
-        if math.pi / self.coarse_cells <= self.fine_step:
+        if math.pi / self.coarse_cells <= fine_step:
             raise ValueError("coarse grid step must exceed the fine step")
-
-    def resolve_sigma2(self, snr_db: float) -> float:
-        if self.sigma2 is not None:
-            return self.sigma2
-        table = self.sigma2_table or load_default_sigma2_table()
-        return table.sigma2_for(snr_db)
-
-    def resolve_epsilon(self, snr_db: float) -> float:
-        table = self.error_table or load_default_error_table()
-        return table.epsilon_for(snr_db)
-
-    def solver_config(self, n_snapshots: int, sigma2: float) -> SolverConfig:
-        return SolverConfig(
-            sigma2=sigma2,
-            n_snapshots=n_snapshots,
-            max_iterations=self.max_iterations,
-            tolerance=self.tolerance,
-            init=self.init,
-        )
 
 
 @dataclass(frozen=True)
@@ -216,7 +211,8 @@ def estimate_effective_snr(cov: np.ndarray) -> float:
 
 
 def coarse_estimate(batch: SnapshotBatch, n_sources: int,
-                    config: PipelineConfig) -> CoarseEstimate:
+                    settings: PipelineSettings,
+                    solver: SolverSettings) -> CoarseEstimate:
     """Locate all sources coarsely.
 
     Uses the covariance polynomial estimator when the effective SNR clears
@@ -226,23 +222,23 @@ def coarse_estimate(batch: SnapshotBatch, n_sources: int,
     geometry = UlaGeometry(batch.n_sensors)
     if not 1 <= n_sources < geometry.n_sensors:
         raise ValueError("n_sources must be positive and below the sensor count")
-    if config.known_snr_db is not None:
-        effective = config.known_snr_db
+    if settings.known_snr is not None:
+        effective = settings.known_snr
     else:
         effective = estimate_effective_snr(sample_covariance(batch))
     flags = []
-    if effective >= config.snr_gate_db:
+    if effective >= settings.snr_gate_db:
         try:
             angles = root_music(sample_covariance(batch), n_sources)
             return CoarseEstimate(angles=angles, method="root_music",
                                   effective_snr_db=effective)
         except RootDeficitError:
             flags.append("root_deficit_fallback")
-    grid = build_grid(config.coarse_cells)
+    grid = build_grid(settings.coarse_cells)
     dictionary = build_dictionary(grid, geometry)
     stat = snapshot_mean(batch)
-    solver_cfg = config.solver_config(batch.n_snapshots,
-                                      config.resolve_sigma2(effective))
+    solver_cfg = solver.solver_config(batch.n_snapshots,
+                                      resolve_sigma2(solver, effective))
     _, moments, _ = solve(dictionary, stat, solver_cfg)
     peaks = select_peaks(spectrum(moments, grid), fixed_k(n_sources))
     if peaks.fallback_filled:
@@ -280,8 +276,9 @@ def cancel_interference(stat: SufficientStatistic, coarse_angles,
 
 
 def refine_source(stat: SufficientStatistic, coarse_angle: float,
-                  epsilon: float, config: PipelineConfig,
-                  geometry: UlaGeometry, sigma2: float):
+                  epsilon: float, settings: PipelineSettings,
+                  solver: SolverSettings, geometry: UlaGeometry,
+                  sigma2: float, workers: int = 1):
     """Sub-band scan of a +-3 epsilon window around one coarse angle.
 
     Returns the scan argmax (ties fall to the lowest scan angle) plus
@@ -293,24 +290,25 @@ def refine_source(stat: SufficientStatistic, coarse_angle: float,
     try:
         plan = plan_subbands(coarse_angle - 3.0 * epsilon,
                              coarse_angle + 3.0 * epsilon,
-                             config.fine_step, config.half_width)
+                             math.radians(settings.fine_step_deg),
+                             math.radians(settings.half_width_deg))
     except ValueError:
         return coarse_angle, ("empty_window",)
-    solver_cfg = config.solver_config(stat.n_snapshots, sigma2)
-    scan = superres_scan(plan, stat, solver_cfg, geometry,
-                         workers=config.workers)
+    solver_cfg = solver.solver_config(stat.n_snapshots, sigma2)
+    scan = superres_scan(plan, stat, solver_cfg, geometry, workers=workers)
     best = int(np.argmax(scan.values))
     flags = () if scan.values[best] > 0.0 else ("no_detection",)
     return float(scan.grid.values[best]), flags
 
 
 def estimate_multisource(batch: SnapshotBatch, n_sources: int,
-                         config: PipelineConfig):
+                         settings: PipelineSettings, solver: SolverSettings,
+                         workers: int = 1):
     """Full hierarchical run; returns sorted angles and the trace."""
     geometry = UlaGeometry(batch.n_sensors)
-    coarse = coarse_estimate(batch, n_sources, config)
-    epsilon = config.resolve_epsilon(coarse.effective_snr_db)
-    sigma2 = config.resolve_sigma2(coarse.effective_snr_db)
+    coarse = coarse_estimate(batch, n_sources, settings, solver)
+    epsilon = resolve_epsilon(coarse.effective_snr_db)
+    sigma2 = resolve_sigma2(solver, coarse.effective_snr_db)
     stat = snapshot_mean(batch)
     refined = np.empty(n_sources)
     windows = []
@@ -319,8 +317,8 @@ def estimate_multisource(batch: SnapshotBatch, n_sources: int,
         residual, cancel_flags = cancel_interference(
             stat, coarse.angles, index, geometry)
         angle, refine_flags = refine_source(
-            residual, float(coarse.angles[index]), epsilon, config,
-            geometry, sigma2)
+            residual, float(coarse.angles[index]), epsilon, settings,
+            solver, geometry, sigma2, workers)
         refined[index] = angle
         windows.append((float(coarse.angles[index]) - 3.0 * epsilon,
                         float(coarse.angles[index]) + 3.0 * epsilon))

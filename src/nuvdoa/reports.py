@@ -14,7 +14,12 @@ import math
 from dataclasses import asdict
 
 from .harness import Aggregates, RunReport, TrialRecord, aggregate
-from .pipeline import ErrorStdTable, Sigma2Table
+from .pipeline import (
+    ErrorStdTable,
+    Sigma2Table,
+    error_table_from_payload,
+    sigma2_table_from_payload,
+)
 
 SCHEMA_VERSION = 1
 
@@ -24,14 +29,6 @@ SUMMARY_COLUMNS = ("method", "snr_db", "L", "K", "trials", "rmse_deg",
 
 class ReportIntegrityError(ValueError):
     """A loaded report's stored aggregates disagree with its records."""
-
-
-def _record_payload(record: TrialRecord) -> dict:
-    payload = asdict(record)
-    for key in ("true_doas_deg", "estimates_deg", "matched_errors_deg", "flags"):
-        if payload[key] is not None:
-            payload[key] = list(payload[key])
-    return payload
 
 
 def dump_report(report: RunReport, path) -> None:
@@ -48,7 +45,7 @@ def dump_report(report: RunReport, path) -> None:
     with open(path, "w") as handle:
         handle.write(json.dumps(header) + "\n")
         for record in report.records:
-            handle.write(json.dumps(_record_payload(record)) + "\n")
+            handle.write(json.dumps(asdict(record)) + "\n")
 
 
 def _close(a, b) -> bool:
@@ -64,20 +61,10 @@ def load_report(path) -> RunReport:
         raise ReportIntegrityError(f"{path}: empty report")
     header = json.loads(lines[0])
     detection_threshold_deg = header["detection_threshold_deg"]
-    records = []
-    for line in lines[1:]:
-        raw = json.loads(line)
-        records.append(TrialRecord(
-            seed=raw["seed"],
-            true_doas_deg=tuple(raw["true_doas_deg"]),
-            estimates_deg=(tuple(raw["estimates_deg"])
-                           if raw["estimates_deg"] is not None else None),
-            matched_errors_deg=(tuple(raw["matched_errors_deg"])
-                                if raw["matched_errors_deg"] is not None else None),
-            method=raw["method"],
-            runtime_ms=raw["runtime_ms"],
-            flags=tuple(raw["flags"]),
-        ))
+    # json writes the records' tuples as arrays; read them back as tuples.
+    records = [TrialRecord(**{key: tuple(value) if isinstance(value, list) else value
+                              for key, value in json.loads(line).items()})
+               for line in lines[1:]]
     stored = header["aggregates"]
     recomputed = aggregate(records, detection_threshold_deg)
     checks = (
@@ -152,10 +139,7 @@ def dump_error_table(table: ErrorStdTable, path, entry_flags=None) -> None:
 
 def load_error_table(path) -> ErrorStdTable:
     with open(path) as handle:
-        payload = json.load(handle)
-    entries = payload["entries"]
-    return ErrorStdTable(snrs_db=tuple(e["snr_db"] for e in entries),
-                         epsilons_deg=tuple(e["epsilon_deg"] for e in entries))
+        return error_table_from_payload(json.load(handle))
 
 
 def dump_sigma2_table(table: Sigma2Table, path) -> None:
@@ -170,7 +154,4 @@ def dump_sigma2_table(table: Sigma2Table, path) -> None:
 
 def load_sigma2_table(path) -> Sigma2Table:
     with open(path) as handle:
-        payload = json.load(handle)
-    entries = payload["entries"]
-    return Sigma2Table(snrs_db=tuple(e["snr_db"] for e in entries),
-                       sigma2s=tuple(e["sigma2"] for e in entries))
+        return sigma2_table_from_payload(json.load(handle))

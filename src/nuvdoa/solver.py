@@ -89,10 +89,25 @@ class SolverConfig:
     def noise_scale(self) -> float:
         return self.sigma2 / self.n_snapshots
 
-    def replace(self, **kwargs) -> "SolverConfig":
-        from dataclasses import replace as _replace
 
-        return _replace(self, **kwargs)
+@dataclass(frozen=True)
+class SolverSettings:
+    """Solver knobs as they appear in config files.
+
+    ``sigma2 = None`` leaves the noise floor to the pipeline's SNR-indexed
+    table.  The iteration budget and tolerance default to SolverConfig's.
+    """
+
+    sigma2: float | None = None
+    max_iterations: int = SolverConfig.max_iterations
+    tolerance: float = SolverConfig.tolerance
+    init: InitSpec = constant_init(1.0)
+
+    def solver_config(self, n_snapshots: int, sigma2: float) -> SolverConfig:
+        """The per-solve spec at a resolved noise floor."""
+        return SolverConfig(sigma2=sigma2, n_snapshots=n_snapshots,
+                            max_iterations=self.max_iterations,
+                            tolerance=self.tolerance, init=self.init)
 
 
 @dataclass(frozen=True)

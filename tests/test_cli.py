@@ -85,7 +85,7 @@ class TestParseConfig:
         assert parse_config({}).solver.init == constant_init(1.0)
         config = parse_config({"solver": {"init": {"kind": "random_uniform", "seed": 3}}})
         assert config.solver.init == random_uniform_init(3)
-        assert config.pipeline_config().init == random_uniform_init(3)
+        assert config.solver_config(1.0).init == random_uniform_init(3)
 
     @pytest.mark.parametrize("raw, key", [
         ({"trails": 3}, "trails"),
@@ -100,6 +100,21 @@ class TestParseConfig:
     def test_rejects_unknown_keys_by_dotted_name(self, raw, key):
         with pytest.raises(ConfigError, match=f"unknown config key '{re.escape(key)}'"):
             parse_config(raw)
+
+    def test_number_fields_take_ints_and_keep_them(self):
+        config = parse_config({"scenario": {"snr_db": 10}, "snr_sweep": [0, 5.0],
+                               "pipeline": {"known_snr": 3}})
+        assert config.snr_db == 10 and isinstance(config.snr_db, int)
+        assert config.snr_sweep == (0, 5.0)
+        assert config.pipeline.known_snr == 3
+
+    def test_separation_that_some_draw_meets_is_accepted(self):
+        config = parse_config({
+            "scenario": {"k_sources": 2},
+            "doa_sampling": {"kind": "uniform_abs_range", "lo_deg": 5.0,
+                             "hi_deg": 10.0, "min_separation_deg": 15.0},
+        })
+        assert config.doa_sampling.min_separation_deg == 15.0
 
     def test_timing_needs_a_yaml_boolean(self):
         assert parse_config({"timing": True}).timing is True
@@ -309,6 +324,23 @@ class TestExitCodes:
         ({"pipeline": {"coarse_cells": 1}}, "coarse grid needs at least 2 cells"),
         ({"solver": {"max_iterations": 0}}, "max_iterations must be positive"),
         ({"solver": {"max_iteration": 50}}, "unknown config key 'solver.max_iteration'"),
+        ({"doa_sampling": {"kind": "fixed", "angles_deg": [1.0, 2.0]}},
+         "fixed angle count does not match k_sources"),
+        ({"scenario": {"k_sources": 3, "n_snapshots": 16},
+          "doa_sampling": {"lo_deg": -10.0, "hi_deg": 10.0, "min_separation_deg": 10.0}},
+         "no 3 directions fit in the sampling range"),
+        ({"scenario": {"k_sources": 2, "n_snapshots": 16},
+          "doa_sampling": {"kind": "uniform_abs_range", "lo_deg": 5.0, "hi_deg": 10.0,
+                           "min_separation_deg": 20.0}},
+         "no 2 directions fit in the sampling range"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"trials": "5"}, "trials must be an integer"),
+        ({"pipeline": {"known_snr": "scenaro"}},
+         "pipeline.known_snr must be a number, 'scenario' or null"),
+        ({"pipeline": {"snr_gate_db": "seven"}}, "pipeline.snr_gate_db must be a number"),
+        ({"snr_sweep": [0.0, "ten"]}, "snr_sweep[1] must be a number"),
+        ({"methods": "music"}, "methods must be a list"),
     ])
     def test_invalid_settings_are_two(self, tmp_path, capsys, overrides, message):
         path = _write_config(tmp_path, overrides)

@@ -17,7 +17,7 @@ from nuvdoa.arrays import (
 from nuvdoa.baselines import RootDeficitError
 from nuvdoa.pipeline import (
     ErrorStdTable,
-    PipelineConfig,
+    PipelineSettings,
     Sigma2Table,
     cancel_interference,
     coarse_estimate,
@@ -26,7 +26,10 @@ from nuvdoa.pipeline import (
     load_default_error_table,
     load_default_sigma2_table,
     refine_source,
+    resolve_epsilon,
+    resolve_sigma2,
 )
+from nuvdoa.solver import SolverSettings
 
 GEOM = UlaGeometry(16)
 
@@ -113,36 +116,38 @@ class TestEffectiveSnr:
 
 
 class TestPipelineConfig:
+    """The `pipeline:` settings checks and the sigma2 resolution."""
+
     def test_rejects_fine_step_above_half_width(self):
         with pytest.raises(ValueError):
-            PipelineConfig(fine_step=np.radians(0.5), half_width=np.radians(0.1))
+            PipelineSettings(fine_step_deg=0.5, half_width_deg=0.1)
 
     def test_rejects_coarse_step_at_or_below_fine_step(self):
         with pytest.raises(ValueError):
-            PipelineConfig(coarse_cells=100000)
+            PipelineSettings(coarse_cells=100000)
 
     def test_explicit_sigma2_wins_over_table(self):
-        cfg = PipelineConfig(
-            sigma2=5.0, sigma2_table=Sigma2Table(snrs_db=(0.0,), sigma2s=(99.0,))
-        )
-        assert cfg.resolve_sigma2(0.0) == 5.0
+        assert load_default_sigma2_table().sigma2_for(0.0) != 5.0
+        assert resolve_sigma2(SolverSettings(sigma2=5.0), 0.0) == 5.0
 
     def test_table_used_when_sigma2_unset(self):
-        cfg = PipelineConfig(sigma2_table=Sigma2Table(snrs_db=(0.0,), sigma2s=(7.0,)))
-        assert cfg.resolve_sigma2(12.0) == pytest.approx(7.0)
+        table = load_default_sigma2_table()
+        for snr in (-20.0, 2.5, 12.0, 40.0):
+            assert resolve_sigma2(SolverSettings(), snr) == table.sigma2_for(snr)
 
 
 class TestCoarseEstimate:
     def test_high_snr_takes_root_path_and_is_tight(self):
         # noiseless single source: covariance rooting is essentially exact
         batch = _batch([20.0], n_snapshots=8, snr_db=np.inf, seed=0)
-        ce = coarse_estimate(batch, 1, PipelineConfig(known_snr_db=30.0))
+        ce = coarse_estimate(batch, 1, PipelineSettings(known_snr=30.0), SolverSettings())
         assert ce.method == "root_music"
         assert abs(ce.angles[0] - np.radians(20.0)) < 1e-6
 
     def test_low_declared_snr_takes_sparse_path(self):
         batch = _batch([20.0], n_snapshots=100, snr_db=20.0, seed=1)
-        ce = coarse_estimate(batch, 1, PipelineConfig(known_snr_db=0.0, sigma2=1.0))
+        ce = coarse_estimate(batch, 1, PipelineSettings(known_snr=0.0),
+                             SolverSettings(sigma2=1.0))
         assert ce.method == "nuv_coarse"
         assert abs(np.degrees(ce.angles[0]) - 20.0) < 0.5
 
@@ -152,7 +157,8 @@ class TestCoarseEstimate:
 
         monkeypatch.setattr(pipeline_mod, "root_music", broken)
         batch = _batch([10.0], n_snapshots=100, snr_db=20.0, seed=2)
-        ce = coarse_estimate(batch, 1, PipelineConfig(known_snr_db=20.0, sigma2=1.0))
+        ce = coarse_estimate(batch, 1, PipelineSettings(known_snr=20.0),
+                             SolverSettings(sigma2=1.0))
         assert ce.method == "nuv_coarse"
         assert "root_deficit_fallback" in ce.flags
 
@@ -160,7 +166,8 @@ class TestCoarseEstimate:
         worst = []
         for seed in range(20):
             batch = _batch([-30.0, 30.0], n_snapshots=100, snr_db=20.0, seed=seed)
-            ce = coarse_estimate(batch, 2, PipelineConfig(known_snr_db=20.0))
+            ce = coarse_estimate(batch, 2, PipelineSettings(known_snr=20.0),
+                                 SolverSettings())
             err = np.degrees(np.abs(np.sort(ce.angles) - np.radians([-30.0, 30.0])))
             worst.append(err.max())
         assert np.percentile(worst, 95) < 0.5
@@ -168,9 +175,9 @@ class TestCoarseEstimate:
     def test_source_count_validated(self):
         batch = _batch([0.0], n_snapshots=4, snr_db=10.0, seed=0)
         with pytest.raises(ValueError):
-            coarse_estimate(batch, 0, PipelineConfig())
+            coarse_estimate(batch, 0, PipelineSettings(), SolverSettings())
         with pytest.raises(ValueError):
-            coarse_estimate(batch, 16, PipelineConfig())
+            coarse_estimate(batch, 16, PipelineSettings(), SolverSettings())
 
 
 class TestCancelInterference:
@@ -244,7 +251,8 @@ class TestCancelInterference:
 
 
 class TestRefineSource:
-    CFG = PipelineConfig(sigma2=1e-2, max_iterations=60, known_snr_db=30.0)
+    CFG = PipelineSettings(known_snr=30.0)
+    SOLVER = SolverSettings(sigma2=1e-2, max_iterations=60)
 
     def test_noiseless_window_recovers_truth(self):
         truth = np.radians(14.0)
@@ -252,10 +260,10 @@ class TestRefineSource:
         stat = snapshot_mean(batch)
         coarse = truth - np.radians(0.07)
         angle, flags = refine_source(
-            stat, coarse, np.radians(0.1), self.CFG, GEOM, sigma2=1e-2
+            stat, coarse, np.radians(0.1), self.CFG, self.SOLVER, GEOM, sigma2=1e-2
         )
         assert flags == ()
-        assert abs(angle - truth) < self.CFG.fine_step + 1e-12
+        assert abs(angle - truth) < np.radians(self.CFG.fine_step_deg) + 1e-12
 
     def test_result_stays_inside_window(self):
         eps = np.radians(0.05)
@@ -263,14 +271,16 @@ class TestRefineSource:
             batch = _batch([-33.0], n_snapshots=50, snr_db=5.0, seed=seed)
             stat = snapshot_mean(batch)
             coarse = np.radians(-33.02)
-            angle, _ = refine_source(stat, coarse, eps, self.CFG, GEOM, sigma2=1.0)
+            angle, _ = refine_source(stat, coarse, eps, self.CFG, self.SOLVER, GEOM,
+                                     sigma2=1.0)
             assert coarse - 3 * eps - 1e-12 <= angle <= coarse + 3 * eps + 1e-12
 
     def test_zero_signal_flags_no_detection(self):
         stat = SufficientStatistic(mean=np.zeros(16, dtype=complex), n_snapshots=1)
         coarse = np.radians(10.0)
         eps = np.radians(0.05)
-        angle, flags = refine_source(stat, coarse, eps, self.CFG, GEOM, sigma2=1.0)
+        angle, flags = refine_source(stat, coarse, eps, self.CFG, self.SOLVER, GEOM,
+                                     sigma2=1.0)
         assert "no_detection" in flags
         assert angle == pytest.approx(coarse - 3 * eps, abs=1e-12)
 
@@ -278,7 +288,7 @@ class TestRefineSource:
         stat = SufficientStatistic(mean=np.ones(16, dtype=complex), n_snapshots=1)
         coarse = np.radians(-90.1)
         angle, flags = refine_source(
-            stat, coarse, np.radians(0.01), self.CFG, GEOM, sigma2=1.0
+            stat, coarse, np.radians(0.01), self.CFG, self.SOLVER, GEOM, sigma2=1.0
         )
         assert flags == ("empty_window",)
         assert angle == coarse
@@ -286,18 +296,20 @@ class TestRefineSource:
     def test_epsilon_must_be_positive(self):
         stat = SufficientStatistic(mean=np.ones(16, dtype=complex), n_snapshots=1)
         with pytest.raises(ValueError):
-            refine_source(stat, 0.0, 0.0, self.CFG, GEOM, sigma2=1.0)
+            refine_source(stat, 0.0, 0.0, self.CFG, self.SOLVER, GEOM, sigma2=1.0)
 
 
 class TestEstimateMultisource:
     def test_single_source_equals_coarse_plus_refine(self):
         batch = _batch([26.1], n_snapshots=100, snr_db=12.0, seed=6)
-        cfg = PipelineConfig(known_snr_db=12.0, sigma2=1.0)
-        est, trace = estimate_multisource(batch, 1, cfg)
-        coarse = coarse_estimate(batch, 1, cfg)
-        eps = cfg.resolve_epsilon(coarse.effective_snr_db)
+        cfg = PipelineSettings(known_snr=12.0)
+        solver = SolverSettings(sigma2=1.0)
+        est, trace = estimate_multisource(batch, 1, cfg, solver)
+        coarse = coarse_estimate(batch, 1, cfg, solver)
+        eps = resolve_epsilon(coarse.effective_snr_db)
         angle, _ = refine_source(
-            snapshot_mean(batch), float(coarse.angles[0]), eps, cfg, GEOM, sigma2=1.0
+            snapshot_mean(batch), float(coarse.angles[0]), eps, cfg, solver, GEOM,
+            sigma2=1.0
         )
         assert est[0] == angle
         assert trace.epsilon == eps
@@ -305,8 +317,8 @@ class TestEstimateMultisource:
     def test_estimates_stay_in_windows(self):
         for seed in range(6):
             batch = _batch([-48.0, 3.0, 41.0], n_snapshots=100, snr_db=15.0, seed=seed)
-            cfg = PipelineConfig(known_snr_db=15.0, sigma2=1.0)
-            est, trace = estimate_multisource(batch, 3, cfg)
+            cfg = PipelineSettings(known_snr=15.0)
+            est, trace = estimate_multisource(batch, 3, cfg, SolverSettings(sigma2=1.0))
             assert trace.windows and len(trace.windows) == 3
             unflagged = not any(
                 f in trace.flags for f in ("empty_window", "no_detection")
@@ -320,24 +332,24 @@ class TestEstimateMultisource:
 
     def test_two_noncoherent_sources_15_deg_apart(self):
         truths = np.radians([-7.5, 7.5])
-        cfg = PipelineConfig(known_snr_db=10.0)
+        cfg = PipelineSettings(known_snr=10.0)
         for seed in range(8):
             batch = _batch([-7.5, 7.5], n_snapshots=100, snr_db=10.0, seed=seed)
-            est, _ = estimate_multisource(batch, 2, cfg)
+            est, _ = estimate_multisource(batch, 2, cfg, SolverSettings())
             err = np.degrees(np.abs(np.sort(est) - truths))
             assert np.all(err <= 0.5)
 
     def test_two_coherent_sources_30_deg_apart(self):
         # mean-statistic refinement handles a rank-one covariance pair
         truths = np.radians([-15.0, 15.0])
-        cfg = PipelineConfig(known_snr_db=15.0)
+        cfg = PipelineSettings(known_snr=15.0)
         hits = 0
         for seed in range(12):
             batch = _batch(
                 [-15.0, 15.0], n_snapshots=100, snr_db=15.0, seed=seed,
                 model="coherent",
             )
-            est, _ = estimate_multisource(batch, 2, cfg)
+            est, _ = estimate_multisource(batch, 2, cfg, SolverSettings())
             err = np.degrees(np.abs(np.sort(est) - truths))
             hits += int(np.all(err < 1.0))
         assert hits >= 10

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -193,7 +194,7 @@ def test_solve_depends_on_noise_scale_only_through_ratio():
     a, _, ybar = random_problem(rng, 4, 12)
     base = SolverConfig(sigma2=0.8, n_snapshots=5, max_iterations=40,
                         init=constant_init(1.0))
-    doubled = base.replace(sigma2=1.6, n_snapshots=10)
+    doubled = replace(base, sigma2=1.6, n_snapshots=10)
     _, _, trace_a = solve(a, ybar, base, keep_history=True)
     _, _, trace_b = solve(a, ybar, doubled, keep_history=True)
     assert len(trace_a.history) == len(trace_b.history)
