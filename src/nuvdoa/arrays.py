@@ -20,6 +20,9 @@ HALF_PI = math.pi / 2.0
 # floating-point rounding.
 _GRID_EPS = 1e-9
 
+# Source waveform models that simulate_snapshots draws from.
+SOURCE_MODELS = ("noncoherent", "coherent")
+
 
 @dataclass(frozen=True)
 class UlaGeometry:
@@ -38,7 +41,6 @@ class AngleGrid:
 
     values: np.ndarray
     step: float
-    origin: float
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -65,10 +67,6 @@ class SteeringDictionary:
     matrix: np.ndarray
     grid: AngleGrid
     geometry: UlaGeometry
-
-    @property
-    def n_atoms(self) -> int:
-        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,7 @@ class Scenario:
             _check_azimuth(theta)
         if self.n_snapshots < 1:
             raise ValueError("n_snapshots must be positive")
-        if self.source_model not in ("noncoherent", "coherent"):
+        if self.source_model not in SOURCE_MODELS:
             raise ValueError(f"unknown source model {self.source_model!r}")
         object.__setattr__(self, "true_doas", doas)
         variance = 0.0 if math.isinf(self.snr_db) else 10.0 ** (-self.snr_db / 10.0)
@@ -178,7 +176,7 @@ def build_grid(m_cells: int) -> AngleGrid:
         raise ValueError("need at least 2 grid cells")
     step = math.pi / m_cells
     values = np.arange(m_cells) * step - HALF_PI
-    return AngleGrid(values=values, step=step, origin=-HALF_PI)
+    return AngleGrid(values=values, step=step)
 
 
 def build_band_grid(lo: float, hi: float, step: float) -> AngleGrid:
@@ -201,7 +199,7 @@ def build_band_grid(lo: float, hi: float, step: float) -> AngleGrid:
     values = values[values < HALF_PI]
     if values.size == 0:
         raise ValueError("band grid is empty after clipping")
-    return AngleGrid(values=values, step=step, origin=float(values[0]))
+    return AngleGrid(values=values, step=step)
 
 
 def build_centered_grid(center: float, half_width: float, step: float) -> AngleGrid:
@@ -223,7 +221,7 @@ def build_centered_grid(center: float, half_width: float, step: float) -> AngleG
     n_up = min(n_span, max(0, int(math.ceil(room_up - _GRID_EPS)) - 1))
     values = center + np.arange(-n_down, n_up + 1) * step
     values = values[(values >= -HALF_PI) & (values < HALF_PI)]
-    return AngleGrid(values=values, step=step, origin=float(values[0]))
+    return AngleGrid(values=values, step=step)
 
 
 def build_dictionary(grid: AngleGrid, geometry: UlaGeometry) -> SteeringDictionary:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .arrays import (
+    SOURCE_MODELS,
     Scenario,
     UlaGeometry,
     build_dictionary,
@@ -44,7 +45,6 @@ from .solver import (
     SolverConfig,
     SolverNumericalError,
     SolverSettings,
-    fixed_k,
     select_peaks,
     solve,
     spectrum,
@@ -143,6 +143,8 @@ class ScenarioConfig:
             raise ValueError("trials must be >= 1")
         if not 1 <= self.k_sources < self.n_sensors:
             raise ValueError("need 1 <= k_sources < n_sensors")
+        if self.source_model not in SOURCE_MODELS:
+            raise ValueError(f"unknown source model {self.source_model!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         for m in self.methods:
@@ -271,7 +273,7 @@ def run_method(batch, method: str, config: ScenarioConfig, snr_db: float):
     try:
         if kind == "estimator":
             return func(batch, config, snr_db)
-        peaks = select_peaks(func(batch, config, snr_db), fixed_k(config.k_sources))
+        peaks = select_peaks(func(batch, config, snr_db), config.k_sources)
     except RootDeficitError:
         return None, ("root_deficit",)
     except SolverNumericalError:

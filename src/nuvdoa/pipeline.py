@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from typing import Literal
 
@@ -31,7 +32,6 @@ from .arrays import (
 from .baselines import RootDeficitError, root_music
 from .solver import (
     SolverSettings,
-    fixed_k,
     select_peaks,
     solve,
     spectrum,
@@ -125,10 +125,12 @@ def sigma2_table_from_payload(payload: dict) -> Sigma2Table:
     )
 
 
+@cache
 def load_default_error_table() -> ErrorStdTable:
     return error_table_from_payload(_load_packaged("epsilon_table.json"))
 
 
+@cache
 def load_default_sigma2_table() -> Sigma2Table:
     return sigma2_table_from_payload(_load_packaged("sigma2_table.json"))
 
@@ -222,14 +224,15 @@ def coarse_estimate(batch: SnapshotBatch, n_sources: int,
     geometry = UlaGeometry(batch.n_sensors)
     if not 1 <= n_sources < geometry.n_sensors:
         raise ValueError("n_sources must be positive and below the sensor count")
+    cov = sample_covariance(batch)
     if settings.known_snr is not None:
         effective = settings.known_snr
     else:
-        effective = estimate_effective_snr(sample_covariance(batch))
+        effective = estimate_effective_snr(cov)
     flags = []
     if effective >= settings.snr_gate_db:
         try:
-            angles = root_music(sample_covariance(batch), n_sources)
+            angles = root_music(cov, n_sources)
             return CoarseEstimate(angles=angles, method="root_music",
                                   effective_snr_db=effective)
         except RootDeficitError:
@@ -240,7 +243,7 @@ def coarse_estimate(batch: SnapshotBatch, n_sources: int,
     solver_cfg = solver.solver_config(batch.n_snapshots,
                                       resolve_sigma2(solver, effective))
     _, moments, _ = solve(dictionary, stat, solver_cfg)
-    peaks = select_peaks(spectrum(moments, grid), fixed_k(n_sources))
+    peaks = select_peaks(spectrum(moments, grid), n_sources)
     if peaks.fallback_filled:
         flags.append("peak_fallback_filled")
     return CoarseEstimate(angles=np.sort(peaks.angles), method="nuv_coarse",

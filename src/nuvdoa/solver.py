@@ -163,29 +163,6 @@ class SolveTrace:
 
 
 @dataclass(frozen=True)
-class PeakRule:
-    """Peak-picking rule: fixed count (``fixed_k``) or threshold (``eta``)."""
-
-    kind: str
-    k: int = 0
-    eta: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("fixed_k", "threshold"):
-            raise ValueError(f"unknown peak rule {self.kind!r}")
-        if self.kind == "fixed_k" and self.k < 1:
-            raise ValueError("fixed_k needs k >= 1")
-
-
-def fixed_k(k: int) -> PeakRule:
-    return PeakRule(kind="fixed_k", k=k)
-
-
-def threshold(eta: float) -> PeakRule:
-    return PeakRule(kind="threshold", eta=eta)
-
-
-@dataclass(frozen=True)
 class PeakSelection:
     """Selected spectrum peaks, strongest first.
 
@@ -194,7 +171,6 @@ class PeakSelection:
     largest leftover spectrum values.
     """
 
-    rule: PeakRule
     indices: np.ndarray
     angles: np.ndarray
     fallback_filled: bool = False
@@ -478,37 +454,28 @@ def _strict_local_maxima(values: np.ndarray) -> np.ndarray:
     return np.nonzero(keep)[0]
 
 
-def select_peaks(spec: Spectrum, rule: PeakRule) -> PeakSelection:
-    """Pick peaks of a spectrum under the given rule.
+def select_peaks(spec: Spectrum, k: int) -> PeakSelection:
+    """Pick the ``k`` strongest peaks of a spectrum.
 
     Strict local maxima (endpoints qualify against their single neighbor)
     are ranked by descending value, ties broken toward the lower grid index.
-    Under ``fixed_k``, missing maxima are topped up with the largest
-    non-peak values and the selection is flagged as fallback-filled.
+    Missing maxima are topped up with the largest non-peak values and the
+    selection is flagged as fallback-filled.
     """
     values = spec.values
+    if k < 1:
+        raise ValueError("need k >= 1 peaks")
+    if k > values.size:
+        raise ValueError(f"cannot select {k} peaks from {values.size} grid points")
     maxima = _strict_local_maxima(values)
     order = maxima[np.argsort(-values[maxima], kind="stable")]
-    fallback = False
-    if rule.kind == "threshold":
-        chosen = order[values[order] > rule.eta]
+    fallback = order.size < k
+    if fallback:
+        rest = np.setdiff1d(np.arange(values.size), order, assume_unique=True)
+        rest = rest[np.argsort(-values[rest], kind="stable")]
+        chosen = np.concatenate([order, rest[: k - order.size]])
+        chosen = chosen[np.argsort(-values[chosen], kind="stable")]
     else:
-        if rule.k > values.size:
-            raise ValueError(
-                f"cannot select {rule.k} peaks from {values.size} grid points")
-        if order.size >= rule.k:
-            chosen = order[: rule.k]
-        else:
-            fallback = True
-            rest = np.setdiff1d(np.arange(values.size), order,
-                                assume_unique=True)
-            rest = rest[np.argsort(-values[rest], kind="stable")]
-            fill = rest[: rule.k - order.size]
-            chosen = np.concatenate([order, fill])
-            chosen = chosen[np.argsort(-values[chosen], kind="stable")]
-    return PeakSelection(
-        rule=rule,
-        indices=chosen,
-        angles=spec.grid.values[chosen],
-        fallback_filled=fallback,
-    )
+        chosen = order[:k]
+    return PeakSelection(indices=chosen, angles=spec.grid.values[chosen],
+                         fallback_filled=fallback)

@@ -34,6 +34,7 @@ from .solver import (
     SolverConfig,
     SolverNumericalError,
     Spectrum,
+    _as_mean,
     initial_state,
     solve_stack,
 )
@@ -46,7 +47,6 @@ class SubBand:
     """One localized solve region; the scan keeps only the center atom."""
 
     center: float
-    half_width: float
     grid: AngleGrid
     center_index: int
 
@@ -57,8 +57,6 @@ class SubBandPlan:
 
     scan_grid: AngleGrid
     bands: tuple
-    half_width: float
-    fine_step: float
 
 
 def plan_subbands(scan_lo: float, scan_hi: float, fine_step: float,
@@ -77,23 +75,9 @@ def plan_subbands(scan_lo: float, scan_hi: float, fine_step: float,
     for center in scan_grid.values:
         grid = build_centered_grid(float(center), half_width, fine_step)
         center_index = int(np.nonzero(grid.values == center)[0][0])
-        bands.append(SubBand(center=float(center), half_width=half_width,
-                             grid=grid, center_index=center_index))
-    return SubBandPlan(scan_grid=scan_grid, bands=tuple(bands),
-                       half_width=half_width, fine_step=fine_step)
-
-
-def _band_stack(bands, geometry: UlaGeometry, init):
-    """Zero-padded dictionary stack and starting variances for a band list."""
-    n = geometry.n_sensors
-    width = max(band.grid.values.size for band in bands)
-    mats = np.zeros((len(bands), n, width), dtype=complex)
-    pv = np.zeros((len(bands), width))
-    for i, band in enumerate(bands):
-        m = band.grid.values.size
-        mats[i, :, :m] = steering_matrix(band.grid.values, geometry)
-        pv[i, :m] = initial_state(m, init).prior_variances
-    return mats, pv
+        bands.append(SubBand(center=float(center), grid=grid,
+                             center_index=center_index))
+    return SubBandPlan(scan_grid=scan_grid, bands=tuple(bands))
 
 
 def _solve_band_stack(bands, stat, config: SolverConfig,
@@ -105,11 +89,18 @@ def _solve_band_stack(bands, stat, config: SolverConfig,
     own stopping rule, as a single-problem solve.  A numerical failure names
     the centers of the failing bands.
     """
-    mean = stat.mean if hasattr(stat, "mean") else np.asarray(stat)
-    if mean.size != geometry.n_sensors:
+    mean = _as_mean(stat)
+    n = geometry.n_sensors
+    if mean.size != n:
         raise ValueError("statistic and geometry disagree on sensor count")
-    mats, pv = _band_stack(bands, geometry, config.init)
-    means = np.broadcast_to(mean, (len(bands), mean.size))
+    width = max(band.grid.values.size for band in bands)
+    mats = np.zeros((len(bands), n, width), dtype=complex)
+    pv = np.zeros((len(bands), width))
+    for i, band in enumerate(bands):
+        m = band.grid.values.size
+        mats[i, :, :m] = steering_matrix(band.grid.values, geometry)
+        pv[i, :m] = initial_state(m, config.init).prior_variances
+    means = np.broadcast_to(mean, (len(bands), n))
     try:
         _, post_mean, _, _, _ = solve_stack(mats, means, pv, config)
     except SolverNumericalError as exc:
@@ -120,18 +111,6 @@ def _solve_band_stack(bands, stat, config: SolverConfig,
             exc.iteration) from None
     centers = [band.center_index for band in bands]
     return np.abs(post_mean[np.arange(len(bands)), centers])
-
-
-def solve_subband(band: SubBand, stat, config: SolverConfig,
-                  geometry: UlaGeometry) -> float:
-    """Run the sparse solver on one band; return the center-atom magnitude."""
-    try:
-        return float(_solve_band_stack([band], stat, config, geometry)[0])
-    except SolverNumericalError as exc:
-        raise SolverNumericalError(
-            f"band centered at {np.degrees(band.center):.4f} deg failed: "
-            f"{exc.reason}",
-            exc.iteration) from None
 
 
 def superres_scan(plan: SubBandPlan, stat, config: SolverConfig,

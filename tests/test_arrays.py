@@ -122,7 +122,7 @@ def test_centered_grid_truncates_at_boundary():
 
 
 def test_dictionary_single_broadside_column():
-    grid = AngleGrid(values=np.array([0.0]), step=1.0, origin=0.0)
+    grid = AngleGrid(values=np.array([0.0]), step=1.0)
     d = build_dictionary(grid, GEOM4)
     npt.assert_array_equal(d.matrix[:, 0], np.ones(4))
 
@@ -267,10 +267,9 @@ def test_sample_covariance_hermitian_psd():
 
 def test_angle_grid_rejects_nonuniform_spacing():
     with pytest.raises(ValueError):
-        AngleGrid(values=np.array([0.0, 0.1, 0.25]), step=0.1, origin=0.0)
+        AngleGrid(values=np.array([0.0, 0.1, 0.25]), step=0.1)
 
 
 def test_angle_grid_rejects_out_of_domain_values():
     with pytest.raises(ValueError):
-        AngleGrid(values=np.array([0.0, math.pi / 2]), step=math.pi / 2,
-                  origin=0.0)
+        AngleGrid(values=np.array([0.0, math.pi / 2]), step=math.pi / 2)

@@ -341,6 +341,7 @@ class TestExitCodes:
         ({"pipeline": {"snr_gate_db": "seven"}}, "pipeline.snr_gate_db must be a number"),
         ({"snr_sweep": [0.0, "ten"]}, "snr_sweep[1] must be a number"),
         ({"methods": "music"}, "methods must be a list"),
+        ({"scenario": {"source_model": "coherant"}}, "unknown source model 'coherant'"),
     ])
     def test_invalid_settings_are_two(self, tmp_path, capsys, overrides, message):
         path = _write_config(tmp_path, overrides)

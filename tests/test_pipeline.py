@@ -75,6 +75,7 @@ class TestErrorStdTable:
 
     def test_packaged_table_loads(self):
         table = load_default_error_table()
+        assert load_default_error_table() is table
         assert len(table.snrs_db) >= 4
         assert all(e > 0 for e in table.epsilons_deg)
 
@@ -97,6 +98,7 @@ class TestSigma2Table:
 
     def test_packaged_table_loads(self):
         table = load_default_sigma2_table()
+        assert load_default_sigma2_table() is table
         assert all(s > 0 for s in table.sigma2s)
 
 

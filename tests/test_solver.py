@@ -17,14 +17,12 @@ from nuvdoa.arrays import (
 )
 from nuvdoa.solver import (
     NuvState,
-    PeakRule,
     PosteriorMoments,
     SolverConfig,
     SolverNumericalError,
     Spectrum,
     constant_init,
     em_step,
-    fixed_k,
     initial_state,
     posterior_moments,
     precision_matrix,
@@ -33,7 +31,6 @@ from nuvdoa.solver import (
     solve,
     solve_stack,
     spectrum,
-    threshold,
 )
 
 
@@ -318,37 +315,30 @@ def make_spectrum(values):
 
 
 def test_select_peaks_single_peak():
-    sel = select_peaks(make_spectrum([0, 1, 5, 1, 0]), fixed_k(1))
+    sel = select_peaks(make_spectrum([0, 1, 5, 1, 0]), 1)
     npt.assert_array_equal(sel.indices, [2])
     assert not sel.fallback_filled
 
 
-def test_select_peaks_threshold():
-    sel = select_peaks(make_spectrum([0, 5, 0, 3, 0]), threshold(4.0))
-    npt.assert_array_equal(sel.indices, [1])
-
-
 def test_select_peaks_fixed_two():
-    sel = select_peaks(make_spectrum([0, 5, 0, 3, 0]), fixed_k(2))
+    sel = select_peaks(make_spectrum([0, 5, 0, 3, 0]), 2)
     npt.assert_array_equal(sel.indices, [1, 3])
 
 
 def test_select_peaks_plateau_falls_back_to_lower_index():
-    sel = select_peaks(make_spectrum([0, 5, 5, 0]), fixed_k(1))
+    sel = select_peaks(make_spectrum([0, 5, 5, 0]), 1)
     npt.assert_array_equal(sel.indices, [1])
     assert sel.fallback_filled
 
 
 def test_select_peaks_rejects_oversized_k():
     with pytest.raises(ValueError):
-        select_peaks(make_spectrum([1, 0, 2]), fixed_k(4))
+        select_peaks(make_spectrum([1, 0, 2]), 4)
 
 
-def test_peak_rule_validation():
+def test_select_peaks_rejects_k_below_one():
     with pytest.raises(ValueError):
-        PeakRule(kind="nonsense")
-    with pytest.raises(ValueError):
-        fixed_k(0)
+        select_peaks(make_spectrum([1, 0, 2]), 0)
 
 
 def test_config_validation():

@@ -15,11 +15,10 @@ from nuvdoa.solver import (
     SolverConfig,
     SolverNumericalError,
     constant_init,
-    fixed_k,
     select_peaks,
     solve,
 )
-from nuvdoa.subbands import plan_subbands, solve_subband, superres_scan
+from nuvdoa.subbands import plan_subbands, superres_scan
 
 FINE = np.radians(0.01)
 ALPHA = np.radians(0.5)
@@ -27,6 +26,12 @@ ALPHA = np.radians(0.5)
 
 def _point_band(center):
     return plan_subbands(center, center, FINE, ALPHA).bands[0]
+
+
+def _point_scan(center, stat, cfg, geom):
+    """Center-atom magnitude of the one band a single-point scan solves."""
+    plan = plan_subbands(center, center, FINE, ALPHA)
+    return float(superres_scan(plan, stat, cfg, geom).values[0])
 
 
 def _single_source_stat(theta, n_snapshots, snr_db, seed, n_sensors=16):
@@ -94,11 +99,13 @@ class TestPlanSubbands:
 
 
 class TestSolveSubband:
+    """One band, solved through a single-point scan."""
+
     def test_zero_statistic_gives_zero(self):
         geom = UlaGeometry(16)
         stat = SufficientStatistic(mean=np.zeros(16, dtype=complex), n_snapshots=4)
         cfg = SolverConfig(sigma2=0.5, n_snapshots=4)
-        assert solve_subband(_point_band(0.0), stat, cfg, geom) == 0.0
+        assert _point_scan(0.0, stat, cfg, geom) == 0.0
 
     def test_on_grid_noiseless_source_concentrates(self):
         # Single snapshot, no noise, source exactly on the band center.
@@ -114,7 +121,7 @@ class TestSolveSubband:
             tolerance=1e-6,
             init=constant_init(1.0),
         )
-        value = solve_subband(_point_band(theta), stat, cfg, geom)
+        value = _point_scan(theta, stat, cfg, geom)
         assert abs(value / source_mag - 1.0) < 0.01
 
     def test_distant_band_stays_small(self):
@@ -130,8 +137,8 @@ class TestSolveSubband:
             tolerance=1e-6,
             init=constant_init(1.0),
         )
-        on = solve_subband(_point_band(theta), stat, cfg, geom)
-        far = solve_subband(_point_band(theta + np.radians(5.0)), stat, cfg, geom)
+        on = _point_scan(theta, stat, cfg, geom)
+        far = _point_scan(theta + np.radians(5.0), stat, cfg, geom)
         assert far < 0.1 * on
 
     def test_failure_tagged_with_band_center(self):
@@ -143,8 +150,9 @@ class TestSolveSubband:
             sigma2=1.0, n_snapshots=1, max_iterations=5, init=constant_init(1e308)
         )
         with np.errstate(all="ignore"):
-            with pytest.raises(SolverNumericalError, match=r"10\.0000 deg"):
-                solve_subband(_point_band(np.radians(10.0)), stat, cfg, geom)
+            with pytest.raises(SolverNumericalError,
+                               match=r"centers \[10\.0\] deg"):
+                _point_scan(np.radians(10.0), stat, cfg, geom)
 
 
 class TestSuperresScan:
@@ -156,7 +164,7 @@ class TestSuperresScan:
         assert spec.values.shape == (11,)
         assert np.all(spec.values == 0.0)
 
-    def test_single_point_scan_matches_solve_subband(self):
+    def test_single_point_scan_matches_plain_solve(self):
         theta = np.radians(-20.4)
         geom = UlaGeometry(16)
         stat = _single_source_stat(theta, n_snapshots=50, snr_db=10.0, seed=7)
@@ -165,9 +173,10 @@ class TestSuperresScan:
         )
         plan = plan_subbands(theta, theta, FINE, ALPHA)
         spec = superres_scan(plan, stat, cfg, geom)
-        direct = solve_subband(plan.bands[0], stat, cfg, geom)
+        band = plan.bands[0]
+        _, moments, _ = solve(steering_matrix(band.grid.values, geom), stat, cfg)
         assert spec.values.shape == (1,)
-        assert spec.values[0] == direct
+        assert spec.values[0] == np.abs(moments.mean[band.center_index])
 
     def test_worker_count_does_not_change_result(self):
         theta = np.radians(12.3)
@@ -196,7 +205,7 @@ class TestSuperresScan:
         )
         spec = superres_scan(plan, stat, cfg, geom)
         singles = np.array(
-            [solve_subband(b, stat, cfg, geom) for b in plan.bands]
+            [_point_scan(b.center, stat, cfg, geom) for b in plan.bands]
         )
         assert np.array_equal(spec.values, singles)
 
@@ -220,8 +229,6 @@ class TestSuperresScan:
         # contrast over 50 seeds stays above 5 (measured about 7).
         theta = np.radians(3.17)
         geom = UlaGeometry(16)
-        on_band = _point_band(theta)
-        far_band = _point_band(theta + np.radians(12.0))
         cfg = SolverConfig(
             sigma2=1.0,
             n_snapshots=100,
@@ -232,8 +239,8 @@ class TestSuperresScan:
         ratios = []
         for seed in range(50):
             stat = _single_source_stat(theta, n_snapshots=100, snr_db=10.0, seed=seed)
-            on = solve_subband(on_band, stat, cfg, geom)
-            far = solve_subband(far_band, stat, cfg, geom)
+            on = _point_scan(theta, stat, cfg, geom)
+            far = _point_scan(theta + np.radians(12.0), stat, cfg, geom)
             ratios.append(on / far)
         assert np.median(ratios) > 5.0
 
@@ -276,6 +283,6 @@ def test_select_peaks_on_stitched_spectrum():
         sigma2=1e-2, n_snapshots=1, max_iterations=60, init=constant_init(1.0)
     )
     spec = superres_scan(plan, stat, cfg, geom)
-    picked = select_peaks(spec, fixed_k(1))
+    picked = select_peaks(spec, 1)
     assert picked.angles.size == 1
     assert picked.angles[0] == pytest.approx(theta, abs=2 * FINE)
