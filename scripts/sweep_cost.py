@@ -1,0 +1,110 @@
+"""Print the cost of one NUV-EM sweep at each problem shape the pipelines solve.
+
+One sweep is one call of the solver's stack kernel ``solver._moments``: the
+posterior moments of every problem of a stack at its current prior
+variances.  The shapes are those of the package's solves, all on 16 sensors:
+
+- ``16x3000``: the ``nuv_ssr_flat`` flat solve;
+- ``16x1801``: the sparse coarse solve below the SNR gate;
+- ``16x180``: the 2-degree grid of the solver tests and criterion 04;
+- ``22x16x101`` and ``12x16x101``: the sub-band stacks of the one- and
+  two-source scans (0.01-degree step, 0.5-degree half width).
+
+Each stack is timed at the prior variances reached after ``--warmup`` EM
+sweeps on a seeded one-source statistic (K=1, L=100, 10 dB, sigma2 = 1), so
+that the variances are as spread as in a running solve.  The printed figure
+is the median over ``--rounds`` rounds of the mean time of ``--sweeps``
+sweeps, with the fastest round beside it.  Run from the root of a checkout:
+
+    python3 scripts/sweep_cost.py
+"""
+
+import argparse
+import math
+import pathlib
+import statistics
+import sys
+import time
+
+import numpy as np
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from nuvdoa.arrays import (  # noqa: E402
+    Scenario,
+    UlaGeometry,
+    build_grid,
+    simulate_snapshots,
+    snapshot_mean,
+    steering_matrix,
+)
+from nuvdoa.solver import _em_update, _moments, _operands  # noqa: E402
+from nuvdoa.subbands import plan_subbands  # noqa: E402
+
+N_SENSORS = 16
+SOURCE_DEG = 10.3
+FINE_STEP_DEG = 0.01
+HALF_WIDTH_DEG = 0.5
+NOISE_SCALE = 1.0 / 100
+
+
+def flat_stack(cells: int):
+    grid = build_grid(cells)
+    return steering_matrix(grid.values, UlaGeometry(N_SENSORS))[None]
+
+
+def band_stack(bands: int):
+    """The zero-padded dictionaries of ``bands`` scan points around the source."""
+    lo = math.radians(SOURCE_DEG - FINE_STEP_DEG * (bands // 2))
+    hi = lo + math.radians(FINE_STEP_DEG * (bands - 1))
+    plan = plan_subbands(lo, hi, math.radians(FINE_STEP_DEG),
+                         math.radians(HALF_WIDTH_DEG))
+    width = max(len(band.grid) for band in plan.bands)
+    stack = np.zeros((len(plan.bands), N_SENSORS, width), dtype=complex)
+    for i, band in enumerate(plan.bands):
+        stack[i, :, :len(band.grid)] = steering_matrix(
+            band.grid.values, UlaGeometry(N_SENSORS))
+    return stack
+
+
+def sweep_us(matrices, args) -> tuple:
+    """(median, fastest) microseconds per sweep of one stack."""
+    scenario = Scenario(geometry=UlaGeometry(N_SENSORS),
+                        true_doas=(math.radians(SOURCE_DEG),),
+                        n_snapshots=100, snr_db=10.0)
+    mean = snapshot_mean(simulate_snapshots(scenario, args.seed)).mean
+    count = matrices.shape[0]
+    means = np.broadcast_to(mean, (count, N_SENSORS))
+    operands = _operands(matrices, means)
+    pv = (np.abs(matrices[:, 0]) > 0).astype(float)
+    for iteration in range(args.warmup):
+        pv = _em_update(*_moments(operands, NOISE_SCALE, pv, iteration)[:2])
+    rounds = []
+    for _ in range(args.rounds):
+        started = time.perf_counter()
+        for _ in range(args.sweeps):
+            _moments(operands, NOISE_SCALE, pv, args.warmup)
+        rounds.append((time.perf_counter() - started) / args.sweeps * 1e6)
+    return statistics.median(rounds), min(rounds)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sweeps", type=int, default=200)
+    parser.add_argument("--rounds", type=int, default=7)
+    parser.add_argument("--warmup", type=int, default=50)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+    if min(args.sweeps, args.rounds) < 1 or args.warmup < 0:
+        parser.error("--sweeps and --rounds must be >= 1, --warmup >= 0")
+    shapes = (("16x3000", flat_stack(3000)), ("16x1801", flat_stack(1801)),
+              ("16x180", flat_stack(180)), ("22x16x101", band_stack(22)),
+              ("12x16x101", band_stack(12)))
+    print(f"{'shape':<10} {'us/sweep':>9} {'fastest':>9}")
+    for name, matrices in shapes:
+        median, fastest = sweep_us(matrices, args)
+        print(f"{name:<10} {median:9.1f} {fastest:9.1f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -10,11 +10,23 @@ produces a sparse angular spectrum.
 
 All computations run on the snapshot mean only; the snapshot count enters
 through the noise scale ``sigma2 / n_snapshots``.
+
+A sweep solves against the sensor-sized Gram matrix
+``G = A diag(pv) A^H + (sigma2/L) I``.  When every dictionary column is a
+half-wavelength ULA steering vector ``a_d = z^d`` with ``|z| = 1`` (zero
+padding columns allowed), ``G`` is Hermitian Toeplitz with first column
+``r = A pv``, and each gain ``a^H G^-1 a`` is a trigonometric polynomial in
+the diagonal sums of ``G^-1`` (the identity behind root-MUSIC).  The sweep
+then costs ``O(n m)`` rather than ``O(n^2 m)``.  The solver tells such
+stacks from the dictionary entries themselves; any other dictionary takes
+the general whitening sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -246,46 +258,100 @@ def posterior_moments(dictionary, state: NuvState, precision: np.ndarray,
                             clamp_excursion=excursion)
 
 
+class _DenseOperands(NamedTuple):
+    """Stack operands of the whitening sweep, any dictionary.
+
+    The dictionaries ``(b, n, m)``, their adjoints ``(b, m, n)`` and the
+    rows ``[A^T; ybar^T]`` of each problem ``(b, m + 1, n)``.
+    """
+
+    matrices: np.ndarray
+    adjoints: np.ndarray
+    rows: np.ndarray
+
+
+class _UlaOperands(NamedTuple):
+    """Stack operands of the Toeplitz sweep, steering dictionaries only.
+
+    One transposed copy ``A^T`` of the dictionaries ``(b, m, n)`` and the
+    conjugated means ``(b, n)``.
+    """
+
+    transposed: np.ndarray
+    conj_means: np.ndarray
+
+
+def _is_ula_stack(matrices: np.ndarray) -> bool:
+    """Whether every nonzero column is a half-wavelength ULA steering vector.
+
+    Such a column is ``a_d = z^d`` with ``|z| = 1``: row 0 equals 1 and row
+    ``d`` equals row 1 times row ``d - 1``, to a rounding slack that grows
+    with the sensor count.  All-zero (padding) columns are allowed.  A
+    one-sensor stack gains nothing from the Toeplitz form and is refused.
+    """
+    n = matrices.shape[1]
+    if n < 2:
+        return False
+    tol = 32 * n * np.finfo(float).eps
+    live = matrices[:, :1] == 1
+    if not (live | ~matrices.any(axis=1, keepdims=True)).all():
+        return False
+    step = matrices[:, 1:2]
+    with np.errstate(invalid="ignore", over="ignore"):
+        off_circle = np.abs(np.abs(step) - 1) * live
+        recursion = np.abs(matrices[:, 1:] - step * matrices[:, :-1])
+        return bool(off_circle.max(initial=0.0) <= tol
+                    and recursion.max(initial=0.0) <= tol)
+
+
+@cache
+def _toeplitz_tables(n: int):
+    """Tables of the Toeplitz sweep for ``n`` sensors.
+
+    ``lower[k, l] = |k - l|`` indexes the first column ``r`` of a Hermitian
+    Toeplitz matrix into its lower triangle (the upper one is not read).
+    ``sums`` maps a flattened ``n x n`` matrix ``Q`` to ``c_0 = tr Q`` and
+    ``c_d = 2 sum_k Q[k, k+d]``: ``vec(Q) @ sums = c``.
+    """
+    k = np.arange(n)
+    lower = np.abs(k[:, None] - k[None, :])
+    sums = np.zeros((n * n, n), dtype=complex)
+    for d in range(n):
+        sums[k[: n - d] * (n + 1) + d, d] = 1.0 if d == 0 else 2.0
+    lower.setflags(write=False)
+    sums.setflags(write=False)
+    return lower, sums
+
+
 def _operands(matrices, means):
     """Per-problem operands of a sweep over a stack of problems.
 
-    Returns the dictionaries as complex ``(b, n, m)``, their adjoints
-    ``(b, m, n)``, and the rows ``[A^T; ybar^T]`` of each problem
-    ``(b, m + 1, n)``.
+    Stacks whose dictionaries are all ULA steering matrices (zero padding
+    allowed) get :class:`_UlaOperands`, every other stack
+    :class:`_DenseOperands`; :func:`_moments` picks its sweep by that type.
     """
     matrices = np.asarray(matrices, dtype=complex)
+    if _is_ula_stack(matrices):
+        return _UlaOperands(matrices.swapaxes(1, 2).copy(),
+                            np.asarray(means, dtype=complex).conj())
     adjoints = matrices.conj().swapaxes(1, 2).copy()
     rows = np.concatenate([matrices.swapaxes(1, 2), means[:, None, :]], axis=1)
-    return matrices, adjoints, rows
+    return _DenseOperands(matrices, adjoints, rows)
 
 
-def _moments(operands, noise: np.ndarray, pv: np.ndarray, iteration: int):
-    """Posterior moments of every problem of a stack at prior variances ``pv``.
-
-    Returns ``(mean, variance, clamp_excursion)``, one row (or entry) per
-    problem, with the same values as :func:`precision_matrix` followed by
-    :func:`posterior_moments`, computed without forming the precision.
-    With ``G = A diag(pv) A^H + (sigma2/L) I = R R^H`` (Cholesky) and
-    ``[B | b] = R^-1 [A | ybar]``, the mean is ``pv * B^H b`` and the gain
-    ``diag(A^H G^-1 A)`` is the column-wise ``sum |B|^2``.
-
-    ``R^-1`` is formed explicitly (an n x n triangular inverse) and applied
-    by one matrix product rather than by a triangular solve against the
-    m + 1 right-hand sides: the numpy and scipy wheels link separate BLAS
-    builds, and a multithreaded solve on scipy's side between numpy
-    products stalls on contended threads.  Keeping the m-sized work inside
-    numpy's BLAS avoids that.  A failure names the failing problems.
-    """
-    matrices, adjoints, rows = operands
-    gram = (matrices * pv[:, None, :]) @ adjoints
-    gram += noise
+def _check_gram(gram: np.ndarray, iteration: int) -> None:
     if not np.isfinite(gram).all():
         bad = ~np.isfinite(gram).all(axis=(1, 2))
         raise SolverNumericalError("observation covariance is not finite",
                                    iteration, np.flatnonzero(bad))
-    # inverse_t[i] holds (R_i^-1)^T, so rows @ inverse_t gives the rows
-    # (R^-1 a_j)^T and (R^-1 ybar)^T of every problem.
-    inverse_t = np.empty_like(gram)
+
+
+def _inverse_factors(gram: np.ndarray, iteration: int) -> np.ndarray:
+    """``R^-1`` of every ``G = R R^H`` (lower Cholesky) of a stack.
+
+    Overwrites ``gram``.  A failure names the failing problems.
+    """
+    inverses = np.empty_like(gram)
     failed = {}
     for index, block in enumerate(gram):
         factor, info = zpotrf(block, lower=True, overwrite_a=True)
@@ -294,23 +360,103 @@ def _moments(operands, noise: np.ndarray, pv: np.ndarray, iteration: int):
             continue
         # A successful factorization has a positive diagonal, so the
         # triangular inverse cannot fail.
-        inverse, _ = ztrtri(factor, lower=True, overwrite_c=True)
-        inverse_t[index] = inverse.T
+        inverses[index], _ = ztrtri(factor, lower=True, overwrite_c=True)
     if failed:
         raise SolverNumericalError(
             "precision factorization failed: LAPACK potrf info "
             f"{next(iter(failed.values()))}", iteration, tuple(failed))
-    whitened = rows @ inverse_t
-    m = pv.shape[1]
-    atoms, data = whitened[:, :m], whitened[:, m:]
-    mean = pv * (atoms @ data.conj().swapaxes(1, 2))[:, :, 0].conj()
-    parts = atoms.view(float)
-    gain = np.einsum("bij,bij->bi", parts, parts)
+    return inverses
+
+
+def _moments(operands, noise: float, pv: np.ndarray, iteration: int):
+    """Posterior moments of every problem of a stack at prior variances ``pv``.
+
+    ``noise`` is the noise scale ``sigma2 / L``.  Returns
+    ``(mean, variance, clamp_excursion)``, one row (or entry) per problem,
+    with the values of :func:`precision_matrix` followed by
+    :func:`posterior_moments` up to rounding, computed without forming the
+    precision from the dictionary.  With
+    ``G = A diag(pv) A^H + (sigma2/L) I = R R^H`` (Cholesky) and
+    ``Q = G^-1``, the mean is ``pv * A^H Q ybar`` and the gain is
+    ``diag(A^H Q A)``; the variance is ``pv - pv^2 * gain``.
+
+    Dense operands (any dictionary): ``[B | b] = R^-1 [A | ybar]``, the
+    mean is ``pv * B^H b`` and the gain the column-wise ``sum |B|^2``.
+    Building ``G`` and whitening cost ``O(n^2 m)`` each.
+
+    ULA operands (steering columns ``a_j = z_j^d``, ``|z_j| = 1``):
+    ``G[k, l] = sum_j pv_j z_j^(k-l)`` is Hermitian Toeplitz, built from its
+    first column ``r = A pv``, and ``a_j^H Q a_j = Re(sum_d c_d z_j^d)`` with
+    ``c_0 = tr Q`` and ``c_d = 2 sum_k Q[k, k+d]`` for ``d >= 1`` (the
+    identity root-MUSIC's polynomial rests on).  Both cost ``O(n m)``; ``Q``
+    itself is ``R^-H R^-1``.  Where ``pv * gain > 1/2`` the variance
+    ``pv (1 - pv * gain)`` would cancel the absolute rounding of that sum,
+    so those gains are recomputed as ``||R^-1 a_j||^2``.  Since
+    ``sum_j pv_j gain_j = n - (sigma2/L) tr Q < n``, fewer than ``2n`` atoms
+    per problem qualify.
+
+    ``R^-1`` is formed explicitly (an n x n triangular inverse) and applied
+    by matrix products rather than by a triangular solve against the m + 1
+    right-hand sides: the numpy and scipy wheels link separate BLAS builds,
+    and a multithreaded solve on scipy's side between numpy products stalls
+    on contended threads.  Keeping the m-sized work inside numpy's BLAS
+    avoids that.  A failure names the failing problems.
+    """
+    if isinstance(operands, _UlaOperands):
+        mean, gain = _toeplitz_mean_gain(operands, noise, pv, iteration)
+    else:
+        mean, gain = _dense_mean_gain(operands, noise, pv, iteration)
     raw = pv - pv * pv * gain
     # The minimum is capped at zero; subtracting from 0.0 keeps zero
     # excursions at +0.0.
     excursion = 0.0 - raw.min(axis=1, initial=0.0)
     return mean, np.maximum(raw, 0.0), excursion
+
+
+def _dense_mean_gain(operands, noise, pv, iteration):
+    matrices, adjoints, rows = operands
+    count, n, m = matrices.shape
+    gram = (matrices * pv[:, None, :]) @ adjoints
+    gram.reshape(count, n * n)[:, :: n + 1] += noise
+    _check_gram(gram, iteration)
+    # rows @ (R^-1)^T gives the rows (R^-1 a_j)^T and (R^-1 ybar)^T of
+    # every problem.
+    whitened = rows @ _inverse_factors(gram, iteration).swapaxes(1, 2).copy()
+    atoms, data = whitened[:, :m], whitened[:, m:]
+    mean = pv * (atoms @ data.conj().swapaxes(1, 2))[:, :, 0].conj()
+    parts = atoms.view(float)
+    return mean, np.einsum("bij,bij->bi", parts, parts)
+
+
+def _toeplitz_mean_gain(operands, noise, pv, iteration):
+    transposed, conj_means = operands
+    count, m, n = transposed.shape
+    lower, sums = _toeplitz_tables(n)
+    # r = A pv, the first column of A diag(pv) A^H, is row 0 of a real
+    # (b, 2, m) @ (b, m, 2n) product.  A one-row product (BLAS gemv) rounds
+    # differently once zero padding lengthens m; this gemm sums over m in
+    # the same order whatever the padding, so a padded band matches the
+    # band solved alone.
+    weights = np.zeros((count, 2, m))
+    weights[:, 0] = pv
+    first = (weights @ transposed.view(float))[:, 0].view(complex)
+    first[:, 0] += noise
+    gram = first[:, lower]
+    _check_gram(gram, iteration)
+    inverses = _inverse_factors(gram, iteration)
+    precision = inverses.conj().swapaxes(1, 2) @ inverses
+    # Row 0 holds c, row 1 ybar^H Q = (conj(Q ybar))^T; A^T times their
+    # transpose gives sum_d c_d z_j^d and conj(a_j^H Q ybar).
+    rows = np.concatenate([precision.reshape(count, 1, n * n) @ sums,
+                           conj_means[:, None, :] @ precision], axis=1)
+    products = transposed @ rows.swapaxes(1, 2)
+    gain = products[:, :, 0].real
+    mean = pv * products[:, :, 1].conj()
+    problem, atom = np.nonzero(pv * gain > 0.5)
+    if problem.size:
+        parts = (inverses[problem] @ transposed[problem, atom, :, None]).view(float)
+        gain[problem, atom] = np.einsum("ijk,ijk->i", parts, parts)
+    return mean, gain
 
 
 def _em_update(mean: np.ndarray, variance: np.ndarray) -> np.ndarray:
@@ -338,9 +484,10 @@ def solve_stack(matrices, means, pv: np.ndarray, config: SolverConfig,
     variances and the moments at them, one row per problem, and one
     :class:`SolveTrace` per problem.
     """
+    matrices = np.asarray(matrices, dtype=complex)
+    count = matrices.shape[0]
     operands = _operands(matrices, means)
-    count, n, _ = operands[0].shape
-    noise = config.noise_scale * np.eye(n)
+    noise = config.noise_scale
     final_pv = np.empty_like(pv)
     iterations = np.empty(count, dtype=int)
     changes = np.empty(count)
@@ -375,7 +522,7 @@ def solve_stack(matrices, means, pv: np.ndarray, config: SolverConfig,
             break
         # Gather the active sub-stack only when it shrinks: indexing the
         # stack on every sweep would copy it every sweep.
-        work = tuple(operand[staying] for operand in work)
+        work = type(work)(*(operand[staying] for operand in work))
         pv = pv[staying]
         worst_active = worst_active[staying]
     mean, variance, excursion = _moments(operands, noise, final_pv,
@@ -398,8 +545,8 @@ def em_step(dictionary, state: NuvState, stat, config: SolverConfig) -> NuvState
     if matrix.shape[1] != state.prior_variances.size:
         raise ValueError("dictionary and state disagree on atom count")
     operands = _operands(matrix[None], _as_mean(stat)[None])
-    noise = config.noise_scale * np.eye(matrix.shape[0])
-    mean, variance, _ = _moments(operands, noise, state.prior_variances[None],
+    mean, variance, _ = _moments(operands, config.noise_scale,
+                                 state.prior_variances[None],
                                  state.iteration)
     return NuvState(prior_variances=_em_update(mean, variance)[0],
                     iteration=state.iteration + 1)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 from nuvdoa.arrays import (
     Scenario,
@@ -15,12 +16,14 @@ from nuvdoa.arrays import (
     snapshot_mean,
     steering_matrix,
 )
+from nuvdoa.pipeline import load_default_sigma2_table
 from nuvdoa.solver import (
     NuvState,
     PosteriorMoments,
     SolverConfig,
     SolverNumericalError,
     Spectrum,
+    _is_ula_stack,
     constant_init,
     em_step,
     initial_state,
@@ -32,6 +35,7 @@ from nuvdoa.solver import (
     solve_stack,
     spectrum,
 )
+from nuvdoa.subbands import plan_subbands
 
 
 def random_problem(rng, n, m):
@@ -285,6 +289,159 @@ def test_stack_matches_problems_solved_alone():
         assert len(traces[i].history) == trace.iterations + 1
         for left, right in zip(traces[i].history, trace.history):
             npt.assert_array_equal(left, right)
+
+
+def _primal_moments(matrix, ybar, pv, scale):
+    """Posterior moments from the atom-sized primal system.
+
+    The posterior covariance is ``D (I + D A^H A D / s)^-1 D`` with
+    ``D = diag(sqrt(pv))``: an m x m Cholesky factorization, a route the
+    solver never takes.  The variances are ``pv`` times the squared column
+    norms of the inverse factor, formed a block of columns at a time.
+    """
+    root = np.sqrt(pv)
+    weighted = matrix * root
+    system = weighted.conj().T @ weighted / scale
+    system[np.diag_indices_from(system)] += 1.0
+    factor = scipy.linalg.cholesky(system, lower=True, overwrite_a=True)
+    mean = root * scipy.linalg.cho_solve(
+        (factor, True), weighted.conj().T @ ybar / scale)
+    norms = np.empty(pv.size)
+    for start in range(0, pv.size, 500):
+        stop = min(start + 500, pv.size)
+        block = np.zeros((pv.size, stop - start), dtype=complex)
+        block[np.arange(start, stop), np.arange(stop - start)] = 1.0
+        inverse = scipy.linalg.solve_triangular(factor, block, lower=True)
+        norms[start:stop] = np.sum(np.abs(inverse) ** 2, axis=0)
+    return mean, pv * norms
+
+
+def _gap(values, reference):
+    """Largest deviation relative to the largest reference magnitude."""
+    return np.abs(values - reference).max() / np.abs(reference).max()
+
+
+def _check_against_references(matrix, ybar, pv, mean, variance, cfg):
+    state = NuvState(prior_variances=pv)
+    dual = posterior_moments(matrix, state, precision_matrix(matrix, state, cfg),
+                             ybar)
+    primal_mean, primal_variance = _primal_moments(matrix, ybar, pv,
+                                                   cfg.noise_scale)
+    assert _gap(mean, dual.mean) <= 1e-9
+    assert _gap(variance, dual.variance) <= 1e-9
+    assert _gap(mean, primal_mean) <= 1e-9
+    assert _gap(variance, primal_variance) <= 1e-9
+
+
+_TABLE = load_default_sigma2_table()
+
+
+@pytest.mark.parametrize("sigma2", sorted(set(_TABLE.sigma2s)))
+def test_steering_solve_matches_reference_moments(sigma2):
+    """A 16x3000 flat solve at each noise floor of the packaged table."""
+    geom = UlaGeometry(16)
+    d = build_dictionary(build_grid(3000), geom)
+    snr_db = _TABLE.snrs_db[_TABLE.sigma2s.index(sigma2)]
+    scen = Scenario(geometry=geom, true_doas=(math.radians(10.3),),
+                    n_snapshots=100, snr_db=snr_db)
+    stat = snapshot_mean(simulate_snapshots(scen, seed=1))
+    cfg = SolverConfig(sigma2=sigma2, n_snapshots=100, init=constant_init(1.0))
+    state, moments, _ = solve(d, stat, cfg)
+    _check_against_references(d.matrix, stat.mean, state.prior_variances,
+                              moments.mean, moments.variance, cfg)
+
+
+def test_padded_edge_band_stack_matches_reference_moments():
+    """Bands near +90 deg clip to different widths and share a padded stack."""
+    geom = UlaGeometry(16)
+    theta, fine = math.radians(89.6), math.radians(0.01)
+    plan = plan_subbands(theta - 3 * fine, theta + 3 * fine, fine,
+                         math.radians(0.5))
+    widths = [len(band.grid) for band in plan.bands]
+    assert len(set(widths)) > 1
+    matrices = np.zeros((len(widths), 16, max(widths)), dtype=complex)
+    pv = np.zeros((len(widths), max(widths)))
+    for i, band in enumerate(plan.bands):
+        matrices[i, :, :widths[i]] = steering_matrix(band.grid.values, geom)
+        pv[i, :widths[i]] = 1.0
+    scen = Scenario(geometry=geom, true_doas=(theta,), n_snapshots=40,
+                    snr_db=10.0)
+    ybar = snapshot_mean(simulate_snapshots(scen, seed=4)).mean
+    cfg = SolverConfig(sigma2=0.7, n_snapshots=40, init=constant_init(1.0))
+    final_pv, mean, variance, _, _ = solve_stack(
+        matrices, np.broadcast_to(ybar, (len(widths), 16)), pv, cfg)
+    for i, m in enumerate(widths):
+        assert not mean[i, m:].any() and not variance[i, m:].any()
+        _check_against_references(matrices[i, :, :m], ybar, final_pv[i, :m],
+                                  mean[i, :m], variance[i, :m], cfg)
+
+
+def test_noiseless_long_solve_matches_primal_moments():
+    """Criterion 04's first four trials: 2000 sweeps, sigma2 1e-3, L = 1.
+
+    One atom carries the source and its ``pv * gain`` sits next to 1, where
+    the variance ``pv (1 - pv * gain)`` cancels.  Without recomputing such
+    gains by whitening, the Toeplitz sweep missed the primal variance by up
+    to 1e-7 on these trials.  The reference ``precision_matrix`` route
+    cancels too and is itself up to about 1e-8 off the primal variance
+    here, so the variance is held to the primal alone.
+    """
+    grid = build_grid(180)
+    d = build_dictionary(grid, UlaGeometry(16))
+    cfg = SolverConfig(sigma2=1e-3, n_snapshots=1, max_iterations=2000,
+                       tolerance=1e-10, init=constant_init(1.0))
+    rng = np.random.default_rng(4)
+    for _ in range(4):
+        index = int(rng.integers(0, 180))
+        amplitude = (rng.standard_normal()
+                     + 1j * rng.standard_normal()) / np.sqrt(2)
+        ybar = amplitude * d.matrix[:, index]
+        state, moments, trace = solve(d, ybar, cfg)
+        assert trace.iterations == 2000
+        dual = posterior_moments(d, state, precision_matrix(d, state, cfg),
+                                 ybar)
+        primal_mean, primal_variance = _primal_moments(
+            d.matrix, ybar, state.prior_variances, cfg.noise_scale)
+        assert _gap(moments.mean, dual.mean) <= 1e-9
+        assert _gap(moments.mean, primal_mean) <= 1e-9
+        assert _gap(moments.variance, primal_variance) <= 1e-9
+
+
+def test_ula_detection_accepts_steering_and_padding():
+    a = steering_matrix(np.radians([-89.0, -10.0, 0.0, 33.3]), UlaGeometry(16))
+    padded = np.concatenate([a, np.zeros((16, 3))], axis=1)
+    assert _is_ula_stack(a[None])
+    assert _is_ula_stack(np.stack([padded, np.roll(padded, 2, axis=1)]))
+    assert _is_ula_stack(np.ones((1, 2, 1), dtype=complex))
+
+
+def _not_steering():
+    a = steering_matrix(np.radians(np.linspace(-60.0, 60.0, 40)),
+                        UlaGeometry(8))
+    scaled = a.copy()
+    scaled[5] *= 1.5
+    # Rows z^d with |z| = 1.02 follow the recursion but are off the unit
+    # circle, so A diag(pv) A^H is not Toeplitz.
+    off_circle = a * 1.02 ** np.arange(8)[:, None]
+    rng = np.random.default_rng(9)
+    random, _, _ = random_problem(rng, 8, 40)
+    return {"random": random, "rows_reversed": a[::-1], "row_scaled": scaled,
+            "off_circle": off_circle}
+
+
+@pytest.mark.parametrize("kind", ["random", "rows_reversed", "row_scaled",
+                                  "off_circle"])
+def test_ula_detection_rejects_other_dictionaries(kind):
+    """Dictionaries that are not steering matrices take the whitening sweep."""
+    matrix = _not_steering()[kind]
+    assert not _is_ula_stack(matrix[None])
+    rng = np.random.default_rng(10)
+    ybar = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    cfg = SolverConfig(sigma2=0.3, n_snapshots=10, max_iterations=100,
+                       init=constant_init(1.0))
+    state, moments, _ = solve(matrix, ybar, cfg)
+    _check_against_references(matrix, ybar, state.prior_variances,
+                              moments.mean, moments.variance, cfg)
 
 
 def test_initial_state_random_bounds_and_determinism():
