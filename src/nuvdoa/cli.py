@@ -161,8 +161,6 @@ def load_config(path, args) -> ScenarioConfig:
     config = parse_config(raw if raw is not None else {})
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    if args.workers is not None:
-        config = replace(config, workers=args.workers)
     if getattr(args, "timing", False):
         config = replace(config, timing=True)
     return config
@@ -193,7 +191,7 @@ def _spectrum_for(config: ScenarioConfig, method: str, args) -> Spectrum:
                          math.radians(config.pipeline.fine_step_deg),
                          math.radians(config.pipeline.half_width_deg))
     return superres_scan(plan, snapshot_mean(batch), solver_cfg,
-                         UlaGeometry(config.n_sensors), workers=config.workers)
+                         UlaGeometry(config.n_sensors))
 
 
 def cmd_spectrum(config: ScenarioConfig, args) -> int:
@@ -249,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sparse Bayesian DoA estimation benchmark harness")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="override the config worker count")
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 

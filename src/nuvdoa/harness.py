@@ -136,6 +136,8 @@ class ScenarioConfig:
     baseline_grid_cells: int = 1801
     detection_threshold_deg: float = 1.0
     timing: bool = False
+    # Kept so that config files that say ``workers: 1`` still parse; the
+    # sub-band scan runs on one thread, so no other value is accepted.
     workers: int = 1
 
     def __post_init__(self):
@@ -151,6 +153,8 @@ class ScenarioConfig:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
         self.doa_sampling.check(self.k_sources)
+        if self.workers != 1:
+            raise ValueError("workers must be 1: the sub-band scan runs on one thread")
         # Build a solver spec once, so its checks fire here.
         self.solver_config(1.0 if self.solver.sigma2 is None else self.solver.sigma2)
 
@@ -227,8 +231,7 @@ def match_and_score(estimates_deg, truth_deg):
 
 def _nuv_doa(batch, config: ScenarioConfig, snr_db: float):
     angles, trace = estimate_multisource(
-        batch, config.k_sources, config.pipeline_settings(snr_db),
-        config.solver, config.workers)
+        batch, config.k_sources, config.pipeline_settings(snr_db), config.solver)
     return angles, tuple(trace.flags)
 
 

@@ -31,6 +31,7 @@ from .arrays import (
 )
 from .baselines import RootDeficitError, root_music
 from .solver import (
+    SolverConfig,
     SolverSettings,
     select_peaks,
     solve,
@@ -280,8 +281,7 @@ def cancel_interference(stat: SufficientStatistic, coarse_angles,
 
 def refine_source(stat: SufficientStatistic, coarse_angle: float,
                   epsilon: float, settings: PipelineSettings,
-                  solver: SolverSettings, geometry: UlaGeometry,
-                  sigma2: float, workers: int = 1):
+                  config: SolverConfig, geometry: UlaGeometry):
     """Sub-band scan of a +-3 epsilon window around one coarse angle.
 
     Returns the scan argmax (ties fall to the lowest scan angle) plus
@@ -297,21 +297,20 @@ def refine_source(stat: SufficientStatistic, coarse_angle: float,
                              math.radians(settings.half_width_deg))
     except ValueError:
         return coarse_angle, ("empty_window",)
-    solver_cfg = solver.solver_config(stat.n_snapshots, sigma2)
-    scan = superres_scan(plan, stat, solver_cfg, geometry, workers=workers)
+    scan = superres_scan(plan, stat, config, geometry)
     best = int(np.argmax(scan.values))
     flags = () if scan.values[best] > 0.0 else ("no_detection",)
     return float(scan.grid.values[best]), flags
 
 
 def estimate_multisource(batch: SnapshotBatch, n_sources: int,
-                         settings: PipelineSettings, solver: SolverSettings,
-                         workers: int = 1):
+                         settings: PipelineSettings, solver: SolverSettings):
     """Full hierarchical run; returns sorted angles and the trace."""
     geometry = UlaGeometry(batch.n_sensors)
     coarse = coarse_estimate(batch, n_sources, settings, solver)
     epsilon = resolve_epsilon(coarse.effective_snr_db)
-    sigma2 = resolve_sigma2(solver, coarse.effective_snr_db)
+    solver_cfg = solver.solver_config(
+        batch.n_snapshots, resolve_sigma2(solver, coarse.effective_snr_db))
     stat = snapshot_mean(batch)
     refined = np.empty(n_sources)
     windows = []
@@ -321,7 +320,7 @@ def estimate_multisource(batch: SnapshotBatch, n_sources: int,
             stat, coarse.angles, index, geometry)
         angle, refine_flags = refine_source(
             residual, float(coarse.angles[index]), epsilon, settings,
-            solver, geometry, sigma2, workers)
+            solver_cfg, geometry)
         refined[index] = angle
         windows.append((float(coarse.angles[index]) - 3.0 * epsilon,
                         float(coarse.angles[index]) + 3.0 * epsilon))

@@ -245,6 +245,13 @@ def posterior_moments(dictionary, state: NuvState, precision: np.ndarray,
     mean = pv * A^H W ybar, variance = pv - pv^2 * diag(A^H W A), with W the
     precision matrix.  Tiny negative variances from rounding are clamped to
     zero and the worst excursion is reported.
+
+    The variance difference cancels where ``pv * gain`` is close to 1.  In
+    ill-conditioned states, such as criterion 04's end states, it is then
+    off the primal posterior ``D (I + D A^H A D / s)^-1 D`` (with
+    ``D = diag(sqrt(pv))`` and ``s = sigma2 / L``) by up to about 5e-8 of
+    the largest variance.  Tests of such states check against the primal
+    form instead.
     """
     matrix = _as_matrix(dictionary)
     pv = state.prior_variances

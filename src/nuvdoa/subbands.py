@@ -13,12 +13,13 @@ loop a flat solve runs as a stack of one: their dictionaries are padded to
 a common width with zero columns (a zero column with zero starting variance
 never moves and never couples into the solve).  Every band still follows
 its own convergence schedule; a band leaves the active stack the moment
-its own stopping rule fires.
+its own stopping rule fires.  The scan runs on one thread, one stack of at
+most ``_MAX_STACK`` bands after another, which bounds its memory on long
+scans.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,28 +115,16 @@ def _solve_band_stack(bands, stat, config: SolverConfig,
 
 
 def superres_scan(plan: SubBandPlan, stat, config: SolverConfig,
-                  geometry: UlaGeometry, workers: int = 1) -> Spectrum:
+                  geometry: UlaGeometry) -> Spectrum:
     """Evaluate every band of the plan and stitch the center magnitudes.
 
-    Bands are independent; stacking and the worker count only control how
-    the work is grouped and have no effect on the values, because every
-    band is solved on its own slice of the stack.
+    Bands are independent; they are solved in stacks of at most
+    ``_MAX_STACK`` bands, in scan order, and the chunking has no effect on
+    the values, because every band is solved on its own slice of the stack.
     """
-    total = len(plan.bands)
-    values = np.zeros(total)
-    per_chunk = min(_MAX_STACK, max(1, -(-total // max(1, workers))))
-    chunks = [(start, plan.bands[start:start + per_chunk])
-              for start in range(0, total, per_chunk)]
-    if workers > 1 and len(chunks) > 1:
-        def run(item):
-            start, bands = item
-            return start, _solve_band_stack(list(bands), stat, config, geometry)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for start, chunk_values in pool.map(run, chunks):
-                values[start:start + chunk_values.size] = chunk_values
-    else:
-        for start, bands in chunks:
-            values[start:start + len(bands)] = _solve_band_stack(
-                list(bands), stat, config, geometry)
+    values = np.zeros(len(plan.bands))
+    for start in range(0, len(plan.bands), _MAX_STACK):
+        bands = list(plan.bands[start:start + _MAX_STACK])
+        values[start:start + len(bands)] = _solve_band_stack(
+            bands, stat, config, geometry)
     return Spectrum(values=values, grid=plan.scan_grid)

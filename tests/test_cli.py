@@ -17,6 +17,7 @@ from nuvdoa.reports import load_error_table, load_report, load_sigma2_table
 from nuvdoa.solver import constant_init, random_uniform_init
 
 SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "config_schema.md"
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -136,32 +137,37 @@ class TestParseConfig:
         assert parsed.methods and parsed.snr_sweep
         assert replace(parsed, methods=(), snr_sweep=()) == parse_config({})
 
+    def test_benchmark_workloads_parse(self):
+        paths = sorted(WORKLOADS.glob("*.yaml"))
+        assert paths
+        for path in paths:
+            parse_config(yaml.safe_load(path.read_text()))
+
 
 class TestLoadConfig:
     def test_cli_flags_override_config(self, tmp_path):
         path = _write_config(tmp_path)
-        args = argparse.Namespace(seed=99, workers=3)
+        args = argparse.Namespace(seed=99)
         config = load_config(path, args)
         assert config.seed == 99
-        assert config.workers == 3
 
     def test_overrides_default_to_config_values(self, tmp_path):
         path = _write_config(tmp_path)
-        args = argparse.Namespace(seed=None, workers=None)
+        args = argparse.Namespace(seed=None)
         config = load_config(path, args)
         assert config.seed == 13
         assert config.workers == 1
         assert config.timing is False
 
     def test_missing_file_is_config_error(self, tmp_path):
-        args = argparse.Namespace(seed=None, workers=None)
+        args = argparse.Namespace(seed=None)
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.yaml", args)
 
     def test_invalid_yaml_is_config_error(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("{[")
-        args = argparse.Namespace(seed=None, workers=None)
+        args = argparse.Namespace(seed=None)
         with pytest.raises(ConfigError, match="YAML"):
             load_config(path, args)
 
@@ -241,7 +247,7 @@ class TestSpectrumCommand:
         with open(out, newline="") as handle:
             rows = list(csv.reader(handle))[1:]
         argmax = max(rows, key=lambda row: float(row[1]))
-        record = run_trial(load_config(path, argparse.Namespace(seed=None, workers=None)),
+        record = run_trial(load_config(path, argparse.Namespace(seed=None)),
                            0, method=method)
         assert record.estimates_deg == (float(argmax[0]),)
 
@@ -342,6 +348,7 @@ class TestExitCodes:
         ({"snr_sweep": [0.0, "ten"]}, "snr_sweep[1] must be a number"),
         ({"methods": "music"}, "methods must be a list"),
         ({"scenario": {"source_model": "coherant"}}, "unknown source model 'coherant'"),
+        ({"workers": 2}, "workers must be 1: the sub-band scan runs on one thread"),
     ])
     def test_invalid_settings_are_two(self, tmp_path, capsys, overrides, message):
         path = _write_config(tmp_path, overrides)

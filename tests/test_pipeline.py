@@ -256,13 +256,16 @@ class TestRefineSource:
     CFG = PipelineSettings(known_snr=30.0)
     SOLVER = SolverSettings(sigma2=1e-2, max_iterations=60)
 
+    def _spec(self, stat, sigma2):
+        return self.SOLVER.solver_config(stat.n_snapshots, sigma2)
+
     def test_noiseless_window_recovers_truth(self):
         truth = np.radians(14.0)
         batch = _batch([14.0], n_snapshots=1, snr_db=np.inf, seed=4)
         stat = snapshot_mean(batch)
         coarse = truth - np.radians(0.07)
         angle, flags = refine_source(
-            stat, coarse, np.radians(0.1), self.CFG, self.SOLVER, GEOM, sigma2=1e-2
+            stat, coarse, np.radians(0.1), self.CFG, self._spec(stat, 1e-2), GEOM
         )
         assert flags == ()
         assert abs(angle - truth) < np.radians(self.CFG.fine_step_deg) + 1e-12
@@ -273,16 +276,16 @@ class TestRefineSource:
             batch = _batch([-33.0], n_snapshots=50, snr_db=5.0, seed=seed)
             stat = snapshot_mean(batch)
             coarse = np.radians(-33.02)
-            angle, _ = refine_source(stat, coarse, eps, self.CFG, self.SOLVER, GEOM,
-                                     sigma2=1.0)
+            angle, _ = refine_source(stat, coarse, eps, self.CFG,
+                                     self._spec(stat, 1.0), GEOM)
             assert coarse - 3 * eps - 1e-12 <= angle <= coarse + 3 * eps + 1e-12
 
     def test_zero_signal_flags_no_detection(self):
         stat = SufficientStatistic(mean=np.zeros(16, dtype=complex), n_snapshots=1)
         coarse = np.radians(10.0)
         eps = np.radians(0.05)
-        angle, flags = refine_source(stat, coarse, eps, self.CFG, self.SOLVER, GEOM,
-                                     sigma2=1.0)
+        angle, flags = refine_source(stat, coarse, eps, self.CFG,
+                                     self._spec(stat, 1.0), GEOM)
         assert "no_detection" in flags
         assert angle == pytest.approx(coarse - 3 * eps, abs=1e-12)
 
@@ -290,7 +293,7 @@ class TestRefineSource:
         stat = SufficientStatistic(mean=np.ones(16, dtype=complex), n_snapshots=1)
         coarse = np.radians(-90.1)
         angle, flags = refine_source(
-            stat, coarse, np.radians(0.01), self.CFG, self.SOLVER, GEOM, sigma2=1.0
+            stat, coarse, np.radians(0.01), self.CFG, self._spec(stat, 1.0), GEOM
         )
         assert flags == ("empty_window",)
         assert angle == coarse
@@ -298,7 +301,7 @@ class TestRefineSource:
     def test_epsilon_must_be_positive(self):
         stat = SufficientStatistic(mean=np.ones(16, dtype=complex), n_snapshots=1)
         with pytest.raises(ValueError):
-            refine_source(stat, 0.0, 0.0, self.CFG, self.SOLVER, GEOM, sigma2=1.0)
+            refine_source(stat, 0.0, 0.0, self.CFG, self._spec(stat, 1.0), GEOM)
 
 
 class TestEstimateMultisource:
@@ -310,8 +313,8 @@ class TestEstimateMultisource:
         coarse = coarse_estimate(batch, 1, cfg, solver)
         eps = resolve_epsilon(coarse.effective_snr_db)
         angle, _ = refine_source(
-            snapshot_mean(batch), float(coarse.angles[0]), eps, cfg, solver, GEOM,
-            sigma2=1.0
+            snapshot_mean(batch), float(coarse.angles[0]), eps, cfg,
+            solver.solver_config(batch.n_snapshots, 1.0), GEOM
         )
         assert est[0] == angle
         assert trace.epsilon == eps

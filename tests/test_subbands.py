@@ -18,6 +18,7 @@ from nuvdoa.solver import (
     select_peaks,
     solve,
 )
+from nuvdoa import subbands
 from nuvdoa.subbands import plan_subbands, superres_scan
 
 FINE = np.radians(0.01)
@@ -178,20 +179,28 @@ class TestSuperresScan:
         assert spec.values.shape == (1,)
         assert spec.values[0] == np.abs(moments.mean[band.center_index])
 
-    def test_worker_count_does_not_change_result(self):
+    def test_chunked_scan_matches_one_stack(self, monkeypatch):
         theta = np.radians(12.3)
         geom = UlaGeometry(16)
         stat = _single_source_stat(theta, n_snapshots=100, snr_db=5.0, seed=11)
         cfg = SolverConfig(
             sigma2=1.0, n_snapshots=100, max_iterations=60, init=constant_init(1.0)
         )
-        plan = plan_subbands(
-            theta - np.radians(0.1), theta + np.radians(0.1), FINE, ALPHA
-        )
+        plan = plan_subbands(theta, theta + np.radians(0.11), FINE, ALPHA)
+        assert len(plan.bands) == 12
         baseline = superres_scan(plan, stat, cfg, geom)
-        for workers in (2, 3):
-            again = superres_scan(plan, stat, cfg, geom, workers=workers)
-            assert np.array_equal(again.values, baseline.values)
+        stacks = []
+        solve_band_stack = subbands._solve_band_stack
+
+        def recording(bands, *args):
+            stacks.append(len(bands))
+            return solve_band_stack(bands, *args)
+
+        monkeypatch.setattr(subbands, "_MAX_STACK", 5)
+        monkeypatch.setattr(subbands, "_solve_band_stack", recording)
+        chunked = superres_scan(plan, stat, cfg, geom)
+        assert stacks == [5, 5, 2]
+        assert np.array_equal(chunked.values, baseline.values)
 
     def test_batched_scan_matches_per_band_solves(self):
         theta = np.radians(-5.6)
