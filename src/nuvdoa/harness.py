@@ -317,16 +317,15 @@ def run_trial(config: ScenarioConfig, trial_index: int,
     runtime_ms = ((time.perf_counter() - started) * 1e3
                   if started is not None else None)
     truth_deg = np.degrees(scenario.true_doas)
-    if estimates is None:
-        return TrialRecord(seed=trial_seed,
-                           true_doas_deg=tuple(truth_deg.tolist()),
-                           estimates_deg=None, matched_errors_deg=None,
-                           method=method, runtime_ms=runtime_ms, flags=flags)
-    errors, _ = match_and_score(np.degrees(estimates), truth_deg)
-    return TrialRecord(seed=trial_seed,
-                       true_doas_deg=tuple(truth_deg.tolist()),
-                       estimates_deg=tuple(np.degrees(estimates).tolist()),
-                       matched_errors_deg=tuple(errors.tolist()),
+    estimates_deg = matched_errors_deg = None
+    if estimates is not None:
+        degrees = np.degrees(estimates)
+        errors, _ = match_and_score(degrees, truth_deg)
+        estimates_deg = tuple(degrees.tolist())
+        matched_errors_deg = tuple(errors.tolist())
+    return TrialRecord(seed=trial_seed, true_doas_deg=tuple(truth_deg.tolist()),
+                       estimates_deg=estimates_deg,
+                       matched_errors_deg=matched_errors_deg,
                        method=method, runtime_ms=runtime_ms, flags=flags)
 
 

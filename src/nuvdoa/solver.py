@@ -11,20 +11,22 @@ produces a sparse angular spectrum.
 All computations run on the snapshot mean only; the snapshot count enters
 through the noise scale ``sigma2 / n_snapshots``.
 
-A sweep solves against the sensor-sized Gram matrix
-``G = A diag(pv) A^H + (sigma2/L) I``.  When every dictionary column is a
-half-wavelength ULA steering vector ``a_d = z^d`` with ``|z| = 1`` (zero
-padding columns allowed), ``G`` is Hermitian Toeplitz with first column
-``r = A pv``, and each gain ``a^H G^-1 a`` is a trigonometric polynomial in
-the diagonal sums of ``G^-1`` (the identity behind root-MUSIC).  The sweep
-then costs ``O(n m)`` rather than ``O(n^2 m)``.  The solver tells such
-stacks from the dictionary entries themselves; any other dictionary takes
-the general whitening sweep.
+Every sweep runs one flow on a stack of problems: build the sensor-sized
+Gram matrix ``G = A diag(pv) A^H + (sigma2/L) I``, factor it, and read the
+posterior mean and the gains ``a^H G^-1 a`` off its inverse.  Only two
+steps depend on the dictionary.  When every column is a half-wavelength
+ULA steering vector ``a_d = z^d`` with ``|z| = 1`` (zero padding columns
+allowed), ``G`` is Hermitian Toeplitz with first column ``r = A pv`` and
+each gain is a trigonometric polynomial in the diagonal sums of ``G^-1``
+(the identity behind root-MUSIC), so those two steps cost ``O(n m)``
+rather than ``O(n^2 m)``.  The solver tells such stacks from the
+dictionary entries, once per stack; any other dictionary builds ``G`` by
+the dense product and whitens every atom for its gain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
@@ -85,7 +87,7 @@ class SolverConfig:
     n_snapshots: int
     max_iterations: int = 500
     tolerance: float = 1e-6
-    init: InitSpec = field(default_factory=lambda: random_uniform_init(0))
+    init: InitSpec = constant_init(1.0)
 
     def __post_init__(self):
         if self.sigma2 <= 0:
@@ -107,13 +109,14 @@ class SolverSettings:
     """Solver knobs as they appear in config files.
 
     ``sigma2 = None`` leaves the noise floor to the pipeline's SNR-indexed
-    table.  The iteration budget and tolerance default to SolverConfig's.
+    table.  The iteration budget, tolerance and init default to
+    SolverConfig's.
     """
 
     sigma2: float | None = None
     max_iterations: int = SolverConfig.max_iterations
     tolerance: float = SolverConfig.tolerance
-    init: InitSpec = constant_init(1.0)
+    init: InitSpec = SolverConfig.init
 
     def solver_config(self, n_snapshots: int, sigma2: float) -> SolverConfig:
         """The per-solve spec at a resolved noise floor."""
@@ -265,23 +268,11 @@ def posterior_moments(dictionary, state: NuvState, precision: np.ndarray,
                             clamp_excursion=excursion)
 
 
-class _DenseOperands(NamedTuple):
-    """Stack operands of the whitening sweep, any dictionary.
+class _Operands(NamedTuple):
+    """Stack operands of a sweep, any dictionary.
 
-    The dictionaries ``(b, n, m)``, their adjoints ``(b, m, n)`` and the
-    rows ``[A^T; ybar^T]`` of each problem ``(b, m + 1, n)``.
-    """
-
-    matrices: np.ndarray
-    adjoints: np.ndarray
-    rows: np.ndarray
-
-
-class _UlaOperands(NamedTuple):
-    """Stack operands of the Toeplitz sweep, steering dictionaries only.
-
-    One transposed copy ``A^T`` of the dictionaries ``(b, m, n)`` and the
-    conjugated means ``(b, n)``.
+    The transposed dictionaries ``A^T`` ``(b, m, n)`` and the conjugated
+    means ``(b, n)``.
     """
 
     transposed: np.ndarray
@@ -330,20 +321,11 @@ def _toeplitz_tables(n: int):
     return lower, sums
 
 
-def _operands(matrices, means):
-    """Per-problem operands of a sweep over a stack of problems.
-
-    Stacks whose dictionaries are all ULA steering matrices (zero padding
-    allowed) get :class:`_UlaOperands`, every other stack
-    :class:`_DenseOperands`; :func:`_moments` picks its sweep by that type.
-    """
+def _operands(matrices, means) -> _Operands:
+    """Per-problem operands of a sweep over a stack of problems."""
     matrices = np.asarray(matrices, dtype=complex)
-    if _is_ula_stack(matrices):
-        return _UlaOperands(matrices.swapaxes(1, 2).copy(),
-                            np.asarray(means, dtype=complex).conj())
-    adjoints = matrices.conj().swapaxes(1, 2).copy()
-    rows = np.concatenate([matrices.swapaxes(1, 2), means[:, None, :]], axis=1)
-    return _DenseOperands(matrices, adjoints, rows)
+    return _Operands(matrices.swapaxes(1, 2).copy(),
+                     np.asarray(means, dtype=complex).conj())
 
 
 def _check_gram(gram: np.ndarray, iteration: int) -> None:
@@ -375,95 +357,84 @@ def _inverse_factors(gram: np.ndarray, iteration: int) -> np.ndarray:
     return inverses
 
 
-def _moments(operands, noise: float, pv: np.ndarray, iteration: int):
+def _moments(operands: _Operands, steering: bool, noise: float,
+             pv: np.ndarray, iteration: int):
     """Posterior moments of every problem of a stack at prior variances ``pv``.
 
-    ``noise`` is the noise scale ``sigma2 / L``.  Returns
+    ``noise`` is the noise scale ``sigma2 / L`` and ``steering`` whether
+    :func:`_is_ula_stack` holds for the stack.  Returns
     ``(mean, variance, clamp_excursion)``, one row (or entry) per problem,
     with the values of :func:`precision_matrix` followed by
-    :func:`posterior_moments` up to rounding, computed without forming the
-    precision from the dictionary.  With
-    ``G = A diag(pv) A^H + (sigma2/L) I = R R^H`` (Cholesky) and
-    ``Q = G^-1``, the mean is ``pv * A^H Q ybar`` and the gain is
-    ``diag(A^H Q A)``; the variance is ``pv - pv^2 * gain``.
+    :func:`posterior_moments` up to rounding.  Every stack runs one flow:
+    build ``G = A diag(pv) A^H + (sigma2/L) I``, factor ``G = R R^H``
+    (lower Cholesky), form ``Q = G^-1 = R^-H R^-1``; the mean is
+    ``pv * conj(A^T conj(Q ybar))``, the gain ``a_j^H Q a_j`` and the
+    variance ``pv - pv^2 * gain``.
 
-    Dense operands (any dictionary): ``[B | b] = R^-1 [A | ybar]``, the
-    mean is ``pv * B^H b`` and the gain the column-wise ``sum |B|^2``.
-    Building ``G`` and whitening cost ``O(n^2 m)`` each.
-
-    ULA operands (steering columns ``a_j = z_j^d``, ``|z_j| = 1``):
-    ``G[k, l] = sum_j pv_j z_j^(k-l)`` is Hermitian Toeplitz, built from its
-    first column ``r = A pv``, and ``a_j^H Q a_j = Re(sum_d c_d z_j^d)`` with
+    Two steps depend on the dictionary.  Any dictionary: ``G`` is the dense
+    ``O(n^2 m)`` product and each gain is ``||R^-1 a_j||^2``.  Steering
+    columns ``a_j = z_j^d``, ``|z_j| = 1``: ``G[k, l] = sum_j pv_j
+    z_j^(k-l)`` is Hermitian Toeplitz, gathered from its first column
+    ``r = A pv``, and ``a_j^H Q a_j = Re(sum_d c_d z_j^d)`` with
     ``c_0 = tr Q`` and ``c_d = 2 sum_k Q[k, k+d]`` for ``d >= 1`` (the
-    identity root-MUSIC's polynomial rests on).  Both cost ``O(n m)``; ``Q``
-    itself is ``R^-H R^-1``.  Where ``pv * gain > 1/2`` the variance
-    ``pv (1 - pv * gain)`` would cancel the absolute rounding of that sum,
-    so those gains are recomputed as ``||R^-1 a_j||^2``.  Since
-    ``sum_j pv_j gain_j = n - (sigma2/L) tr Q < n``, fewer than ``2n`` atoms
-    per problem qualify.
+    identity root-MUSIC's polynomial rests on); both cost ``O(n m)``.
+    Where ``pv * gain > 1/2`` the variance ``pv (1 - pv * gain)`` would
+    cancel the absolute rounding of that sum, so those gains are
+    recomputed as ``||R^-1 a_j||^2``.  Since ``sum_j pv_j gain_j =
+    n - (sigma2/L) tr Q < n``, fewer than ``2n`` atoms per problem qualify.
 
     ``R^-1`` is formed explicitly (an n x n triangular inverse) and applied
-    by matrix products rather than by a triangular solve against the m + 1
+    by matrix products rather than by a triangular solve against the m
     right-hand sides: the numpy and scipy wheels link separate BLAS builds,
     and a multithreaded solve on scipy's side between numpy products stalls
     on contended threads.  Keeping the m-sized work inside numpy's BLAS
     avoids that.  A failure names the failing problems.
     """
-    if isinstance(operands, _UlaOperands):
-        mean, gain = _toeplitz_mean_gain(operands, noise, pv, iteration)
+    transposed, conj_means = operands
+    count, m, n = transposed.shape
+    if steering:
+        lower, sums = _toeplitz_tables(n)
+        # r = A pv, the first column of A diag(pv) A^H, is row 0 of a real
+        # (b, 2, m) @ (b, m, 2n) product.  A one-row product (BLAS gemv)
+        # rounds differently once zero padding lengthens m; this gemm sums
+        # over m in the same order whatever the padding, so a padded band
+        # matches the band solved alone.
+        weights = np.zeros((count, 2, m))
+        weights[:, 0] = pv
+        first = (weights @ transposed.view(float))[:, 0].view(complex)
+        first[:, 0] += noise
+        gram = first[:, lower]
     else:
-        mean, gain = _dense_mean_gain(operands, noise, pv, iteration)
+        gram = (transposed.swapaxes(1, 2) * pv[:, None, :]) @ transposed.conj()
+        gram.reshape(count, n * n)[:, :: n + 1] += noise
+    _check_gram(gram, iteration)
+    inverses = _inverse_factors(gram, iteration)
+    precision = inverses.conj().swapaxes(1, 2) @ inverses
+    # Row ybar^H Q = (conj(Q ybar))^T goes under c on steering stacks and
+    # under R^-1 on any other: A^T times the rows' transpose gives
+    # sum_d c_d z_j^d, or (R^-1 a_j)^T, and conj(a_j^H Q ybar).
+    if steering:
+        head = precision.reshape(count, 1, n * n) @ sums
+    else:
+        head = inverses
+    rows = np.concatenate([head, conj_means[:, None, :] @ precision], axis=1)
+    products = transposed @ rows.swapaxes(1, 2)
+    mean = pv * products[:, :, -1].conj()
+    if steering:
+        gain = products[:, :, 0].real
+        problem, atom = np.nonzero(pv * gain > 0.5)
+        if problem.size:
+            parts = (inverses[problem]
+                     @ transposed[problem, atom, :, None]).view(float)
+            gain[problem, atom] = np.einsum("ijk,ijk->i", parts, parts)
+    else:
+        parts = products[:, :, :n].view(float)
+        gain = np.einsum("bij,bij->bi", parts, parts)
     raw = pv - pv * pv * gain
     # The minimum is capped at zero; subtracting from 0.0 keeps zero
     # excursions at +0.0.
     excursion = 0.0 - raw.min(axis=1, initial=0.0)
     return mean, np.maximum(raw, 0.0), excursion
-
-
-def _dense_mean_gain(operands, noise, pv, iteration):
-    matrices, adjoints, rows = operands
-    count, n, m = matrices.shape
-    gram = (matrices * pv[:, None, :]) @ adjoints
-    gram.reshape(count, n * n)[:, :: n + 1] += noise
-    _check_gram(gram, iteration)
-    # rows @ (R^-1)^T gives the rows (R^-1 a_j)^T and (R^-1 ybar)^T of
-    # every problem.
-    whitened = rows @ _inverse_factors(gram, iteration).swapaxes(1, 2).copy()
-    atoms, data = whitened[:, :m], whitened[:, m:]
-    mean = pv * (atoms @ data.conj().swapaxes(1, 2))[:, :, 0].conj()
-    parts = atoms.view(float)
-    return mean, np.einsum("bij,bij->bi", parts, parts)
-
-
-def _toeplitz_mean_gain(operands, noise, pv, iteration):
-    transposed, conj_means = operands
-    count, m, n = transposed.shape
-    lower, sums = _toeplitz_tables(n)
-    # r = A pv, the first column of A diag(pv) A^H, is row 0 of a real
-    # (b, 2, m) @ (b, m, 2n) product.  A one-row product (BLAS gemv) rounds
-    # differently once zero padding lengthens m; this gemm sums over m in
-    # the same order whatever the padding, so a padded band matches the
-    # band solved alone.
-    weights = np.zeros((count, 2, m))
-    weights[:, 0] = pv
-    first = (weights @ transposed.view(float))[:, 0].view(complex)
-    first[:, 0] += noise
-    gram = first[:, lower]
-    _check_gram(gram, iteration)
-    inverses = _inverse_factors(gram, iteration)
-    precision = inverses.conj().swapaxes(1, 2) @ inverses
-    # Row 0 holds c, row 1 ybar^H Q = (conj(Q ybar))^T; A^T times their
-    # transpose gives sum_d c_d z_j^d and conj(a_j^H Q ybar).
-    rows = np.concatenate([precision.reshape(count, 1, n * n) @ sums,
-                           conj_means[:, None, :] @ precision], axis=1)
-    products = transposed @ rows.swapaxes(1, 2)
-    gain = products[:, :, 0].real
-    mean = pv * products[:, :, 1].conj()
-    problem, atom = np.nonzero(pv * gain > 0.5)
-    if problem.size:
-        parts = (inverses[problem] @ transposed[problem, atom, :, None]).view(float)
-        gain[problem, atom] = np.einsum("ijk,ijk->i", parts, parts)
-    return mean, gain
 
 
 def _em_update(mean: np.ndarray, variance: np.ndarray) -> np.ndarray:
@@ -494,6 +465,7 @@ def solve_stack(matrices, means, pv: np.ndarray, config: SolverConfig,
     matrices = np.asarray(matrices, dtype=complex)
     count = matrices.shape[0]
     operands = _operands(matrices, means)
+    steering = _is_ula_stack(matrices)
     noise = config.noise_scale
     final_pv = np.empty_like(pv)
     iterations = np.empty(count, dtype=int)
@@ -505,7 +477,8 @@ def solve_stack(matrices, means, pv: np.ndarray, config: SolverConfig,
     work = operands
     worst_active = np.zeros(count)
     for iteration in range(1, config.max_iterations + 1):
-        mean, variance, excursion = _moments(work, noise, pv, iteration - 1)
+        mean, variance, excursion = _moments(work, steering, noise, pv,
+                                             iteration - 1)
         np.maximum(worst_active, excursion, out=worst_active)
         pv_new = _em_update(mean, variance)
         change = np.abs(pv_new - pv).max(axis=1)
@@ -529,10 +502,10 @@ def solve_stack(matrices, means, pv: np.ndarray, config: SolverConfig,
             break
         # Gather the active sub-stack only when it shrinks: indexing the
         # stack on every sweep would copy it every sweep.
-        work = type(work)(*(operand[staying] for operand in work))
+        work = _Operands(*(operand[staying] for operand in work))
         pv = pv[staying]
         worst_active = worst_active[staying]
-    mean, variance, excursion = _moments(operands, noise, final_pv,
+    mean, variance, excursion = _moments(operands, steering, noise, final_pv,
                                          int(iterations.max()))
     traces = tuple(
         SolveTrace(
@@ -551,8 +524,9 @@ def em_step(dictionary, state: NuvState, stat, config: SolverConfig) -> NuvState
     matrix = _as_matrix(dictionary)
     if matrix.shape[1] != state.prior_variances.size:
         raise ValueError("dictionary and state disagree on atom count")
-    operands = _operands(matrix[None], _as_mean(stat)[None])
-    mean, variance, _ = _moments(operands, config.noise_scale,
+    matrices = np.asarray(matrix, dtype=complex)[None]
+    mean, variance, _ = _moments(_operands(matrices, _as_mean(stat)[None]),
+                                 _is_ula_stack(matrices), config.noise_scale,
                                  state.prior_variances[None],
                                  state.iteration)
     return NuvState(prior_variances=_em_update(mean, variance)[0],

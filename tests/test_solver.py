@@ -1,4 +1,7 @@
 import math
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -407,6 +410,31 @@ def test_noiseless_long_solve_matches_primal_moments():
         assert _gap(moments.variance, primal_variance) <= 1e-9
 
 
+def test_noiseless_long_solve_off_steering_matches_primal_moments():
+    """Criterion 04's settings on a dictionary the Toeplitz sweep refuses.
+
+    Reversing the rows of the 16x180 steering matrix keeps the problem's
+    conditioning but starts every column at ``z^15``, so these solves run
+    the dense sweep into the same ill-conditioned end states as
+    :func:`test_noiseless_long_solve_matches_primal_moments`.
+    """
+    matrix = build_dictionary(build_grid(180), UlaGeometry(16)).matrix[::-1]
+    assert not _is_ula_stack(matrix[None])
+    cfg = SolverConfig(sigma2=1e-3, n_snapshots=1, max_iterations=2000,
+                       tolerance=1e-10, init=constant_init(1.0))
+    rng = np.random.default_rng(4)
+    for _ in range(4):
+        index = int(rng.integers(0, 180))
+        amplitude = (rng.standard_normal()
+                     + 1j * rng.standard_normal()) / np.sqrt(2)
+        ybar = amplitude * matrix[:, index]
+        state, moments, _ = solve(matrix, ybar, cfg)
+        primal_mean, primal_variance = _primal_moments(
+            matrix, ybar, state.prior_variances, cfg.noise_scale)
+        assert _gap(moments.mean, primal_mean) <= 1e-9
+        assert _gap(moments.variance, primal_variance) <= 1e-9
+
+
 def test_ula_detection_accepts_steering_and_padding():
     a = steering_matrix(np.radians([-89.0, -10.0, 0.0, 33.3]), UlaGeometry(16))
     padded = np.concatenate([a, np.zeros((16, 3))], axis=1)
@@ -505,3 +533,15 @@ def test_config_validation():
         SolverConfig(sigma2=1.0, n_snapshots=0)
     with pytest.raises(ValueError):
         SolverConfig(sigma2=1.0, n_snapshots=1, tolerance=0.0)
+
+
+def test_sweep_cost_script_runs():
+    """``scripts/sweep_cost.py`` drives the private sweep kernel."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    script = root / "scripts" / "sweep_cost.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--sweeps", "1", "--rounds", "1",
+         "--warmup", "1"], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split()[0] for line in done.stdout.splitlines()[1:]]
+    assert rows == ["16x3000", "16x1801", "16x180", "22x16x101", "12x16x101"]
