@@ -38,12 +38,7 @@ from nuvdoa.arrays import (  # noqa: E402
     snapshot_mean,
     steering_matrix,
 )
-from nuvdoa.solver import (  # noqa: E402
-    _em_update,
-    _is_ula_stack,
-    _moments,
-    _operands,
-)
+from nuvdoa.solver import _em_update, _is_ula_stack, _moments  # noqa: E402
 from nuvdoa.subbands import plan_subbands  # noqa: E402
 
 N_SENSORS = 16
@@ -79,18 +74,19 @@ def sweep_us(matrices, args) -> tuple:
                         n_snapshots=100, snr_db=10.0)
     mean = snapshot_mean(simulate_snapshots(scenario, args.seed)).mean
     count = matrices.shape[0]
-    means = np.broadcast_to(mean, (count, N_SENSORS))
-    operands = _operands(matrices, means)
+    # The stack loop's operands: A^T and the conjugated means.
+    operands = (matrices.swapaxes(1, 2).copy(),
+                np.broadcast_to(mean, (count, N_SENSORS)).conj())
     steering = _is_ula_stack(matrices)
     pv = (np.abs(matrices[:, 0]) > 0).astype(float)
     for iteration in range(args.warmup):
-        pv = _em_update(*_moments(operands, steering, NOISE_SCALE, pv,
+        pv = _em_update(*_moments(*operands, steering, NOISE_SCALE, pv,
                                   iteration)[:2])
     rounds = []
     for _ in range(args.rounds):
         started = time.perf_counter()
         for _ in range(args.sweeps):
-            _moments(operands, steering, NOISE_SCALE, pv, args.warmup)
+            _moments(*operands, steering, NOISE_SCALE, pv, args.warmup)
         rounds.append((time.perf_counter() - started) / args.sweeps * 1e6)
     return statistics.median(rounds), min(rounds)
 

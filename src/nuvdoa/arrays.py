@@ -160,8 +160,9 @@ def steering_vector(theta: float, geometry: UlaGeometry) -> np.ndarray:
 def steering_matrix(thetas, geometry: UlaGeometry) -> np.ndarray:
     """Steering vectors for several azimuths, stacked as columns."""
     thetas = np.asarray(thetas, dtype=float)
-    for theta in np.atleast_1d(thetas):
-        _check_azimuth(theta)
+    outside = ~((-HALF_PI <= thetas) & (thetas < HALF_PI))
+    if outside.any():
+        _check_azimuth(thetas.flat[np.argmax(outside)])
     indices = np.arange(geometry.n_sensors)
     return np.exp(-1j * math.pi * np.outer(indices, np.sin(thetas)))
 

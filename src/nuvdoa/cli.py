@@ -66,15 +66,18 @@ def _fits(kind, value) -> bool:
         return value in get_args(kind)
     if isinstance(value, bool) and kind is not bool:
         return False
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is float:
+        return isinstance(value, (int, float)) and not math.isnan(value)
+    return isinstance(value, kind)
 
 
 def _check_type(name: str, kind, value):
     """Check ``value`` against a field annotated ``kind`` and return it as
     the field stores it; a mismatch is a ConfigError.
 
-    An int field takes no float or bool, a float field also takes an int,
-    and a tuple field takes a list whose items fit its item type.
+    An int field takes no float or bool, a float field also takes an int
+    but no NaN, and a tuple field takes a list whose items fit its item
+    type.
     """
     if get_origin(kind) is tuple:
         if not isinstance(value, (list, tuple)):

@@ -9,7 +9,9 @@ that the data does not support collapse to zero variance, which is what
 produces a sparse angular spectrum.
 
 All computations run on the snapshot mean only; the snapshot count enters
-through the noise scale ``sigma2 / n_snapshots``.
+through the noise scale ``sigma2 / n_snapshots``.  The loop sets its own
+start: every atom at the prior variance ``init.value``, and every all-zero
+(padding) column at zero, where it stays.
 
 Every sweep runs one flow on a stack of problems: build the sensor-sized
 Gram matrix ``G = A diag(pv) A^H + (sigma2/L) I``, factor it, and read the
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -54,25 +55,17 @@ class SolverNumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class InitSpec:
-    """How to seed the prior variances: constant, or uniform on (0.5, 1.5]."""
+    """The prior variance every live atom starts from."""
 
-    kind: str
     value: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "random_uniform"):
-            raise ValueError(f"unknown init kind {self.kind!r}")
-        if self.kind == "constant" and self.value <= 0:
+        if not self.value > 0:
             raise ValueError("constant init value must be positive")
 
 
 def constant_init(value: float = 1.0) -> InitSpec:
-    return InitSpec(kind="constant", value=value)
-
-
-def random_uniform_init(seed: int = 0) -> InitSpec:
-    return InitSpec(kind="random_uniform", seed=seed)
+    return InitSpec(value=value)
 
 
 @dataclass(frozen=True)
@@ -90,13 +83,13 @@ class SolverConfig:
     init: InitSpec = constant_init(1.0)
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
+        if not self.sigma2 > 0:
             raise ValueError("sigma2 must be positive")
         if self.n_snapshots < 1:
             raise ValueError("n_snapshots must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
 
     @property
@@ -203,17 +196,6 @@ def _as_mean(stat) -> np.ndarray:
     return np.asarray(stat)
 
 
-def initial_state(n_atoms: int, init: InitSpec) -> NuvState:
-    """Starting prior variances for a dictionary with ``n_atoms`` columns."""
-    if init.kind == "constant":
-        pv = np.full(n_atoms, init.value, dtype=float)
-    else:
-        rng = np.random.default_rng(init.seed)
-        # 1.5 - U[0,1) lands in (0.5, 1.5].
-        pv = 1.5 - rng.random(n_atoms)
-    return NuvState(prior_variances=pv, iteration=0)
-
-
 def precision_matrix(dictionary, state: NuvState, config: SolverConfig) -> np.ndarray:
     """Inverse of the marginal observation covariance under the current priors.
 
@@ -268,17 +250,6 @@ def posterior_moments(dictionary, state: NuvState, precision: np.ndarray,
                             clamp_excursion=excursion)
 
 
-class _Operands(NamedTuple):
-    """Stack operands of a sweep, any dictionary.
-
-    The transposed dictionaries ``A^T`` ``(b, m, n)`` and the conjugated
-    means ``(b, n)``.
-    """
-
-    transposed: np.ndarray
-    conj_means: np.ndarray
-
-
 def _is_ula_stack(matrices: np.ndarray) -> bool:
     """Whether every nonzero column is a half-wavelength ULA steering vector.
 
@@ -321,13 +292,6 @@ def _toeplitz_tables(n: int):
     return lower, sums
 
 
-def _operands(matrices, means) -> _Operands:
-    """Per-problem operands of a sweep over a stack of problems."""
-    matrices = np.asarray(matrices, dtype=complex)
-    return _Operands(matrices.swapaxes(1, 2).copy(),
-                     np.asarray(means, dtype=complex).conj())
-
-
 def _check_gram(gram: np.ndarray, iteration: int) -> None:
     if not np.isfinite(gram).all():
         bad = ~np.isfinite(gram).all(axis=(1, 2))
@@ -357,12 +321,14 @@ def _inverse_factors(gram: np.ndarray, iteration: int) -> np.ndarray:
     return inverses
 
 
-def _moments(operands: _Operands, steering: bool, noise: float,
-             pv: np.ndarray, iteration: int):
+def _moments(transposed: np.ndarray, conj_means: np.ndarray, steering: bool,
+             noise: float, pv: np.ndarray, iteration: int):
     """Posterior moments of every problem of a stack at prior variances ``pv``.
 
-    ``noise`` is the noise scale ``sigma2 / L`` and ``steering`` whether
-    :func:`_is_ula_stack` holds for the stack.  Returns
+    ``transposed`` holds the dictionaries as ``A^T`` ``(b, m, n)`` and
+    ``conj_means`` the conjugated means ``(b, n)``; ``noise`` is the noise
+    scale ``sigma2 / L`` and ``steering`` whether :func:`_is_ula_stack`
+    holds for the stack.  Returns
     ``(mean, variance, clamp_excursion)``, one row (or entry) per problem,
     with the values of :func:`precision_matrix` followed by
     :func:`posterior_moments` up to rounding.  Every stack runs one flow:
@@ -390,7 +356,6 @@ def _moments(operands: _Operands, steering: bool, noise: float,
     on contended threads.  Keeping the m-sized work inside numpy's BLAS
     avoids that.  A failure names the failing problems.
     """
-    transposed, conj_means = operands
     count, m, n = transposed.shape
     if steering:
         lower, sums = _toeplitz_tables(n)
@@ -444,14 +409,17 @@ def _em_update(mean: np.ndarray, variance: np.ndarray) -> np.ndarray:
     return pv
 
 
-def solve_stack(matrices, means, pv: np.ndarray, config: SolverConfig,
+def solve_stack(matrices, means, config: SolverConfig,
                 keep_history: bool = False):
     """Run the variance fixed point on a stack of independent problems.
 
-    ``matrices`` is ``(b, n, m)``, ``means`` ``(b, n)`` and the starting
-    variances ``pv`` ``(b, m)``.  A zero column with zero starting variance
-    stays at zero and never couples into its problem, so dictionaries of
-    different widths can share a stack by zero padding.  Each problem stops
+    ``matrices`` is ``(b, n, m)`` and ``means`` ``(b, n)``.  Every column
+    with a nonzero entry starts at the prior variance ``config.init.value``
+    and every all-zero column at 0.  A zero column at zero variance stays
+    there and never couples into its problem, so dictionaries of different
+    widths can share a stack by zero padding; an all-zero column of a
+    dictionary itself is treated the same way (steering columns have unit
+    modulus entries, so no built dictionary has one).  Each problem stops
     when the max-norm change of its variances drops below
     ``tolerance * max(1, ||pv||_inf)`` or at ``max_iterations``, then leaves
     the active stack; every problem gets one final moment evaluation at its
@@ -464,9 +432,11 @@ def solve_stack(matrices, means, pv: np.ndarray, config: SolverConfig,
     """
     matrices = np.asarray(matrices, dtype=complex)
     count = matrices.shape[0]
-    operands = _operands(matrices, means)
+    transposed = matrices.swapaxes(1, 2).copy()
+    conj_means = np.asarray(means, dtype=complex).conj()
     steering = _is_ula_stack(matrices)
     noise = config.noise_scale
+    pv = np.where(matrices.any(axis=1), config.init.value, 0.0)
     final_pv = np.empty_like(pv)
     iterations = np.empty(count, dtype=int)
     changes = np.empty(count)
@@ -474,11 +444,11 @@ def solve_stack(matrices, means, pv: np.ndarray, config: SolverConfig,
     worst = np.empty(count)
     histories = [[row.copy()] for row in pv] if keep_history else None
     active = np.arange(count)
-    work = operands
+    work, work_means = transposed, conj_means
     worst_active = np.zeros(count)
     for iteration in range(1, config.max_iterations + 1):
-        mean, variance, excursion = _moments(work, steering, noise, pv,
-                                             iteration - 1)
+        mean, variance, excursion = _moments(work, work_means, steering, noise,
+                                             pv, iteration - 1)
         np.maximum(worst_active, excursion, out=worst_active)
         pv_new = _em_update(mean, variance)
         change = np.abs(pv_new - pv).max(axis=1)
@@ -502,11 +472,11 @@ def solve_stack(matrices, means, pv: np.ndarray, config: SolverConfig,
             break
         # Gather the active sub-stack only when it shrinks: indexing the
         # stack on every sweep would copy it every sweep.
-        work = _Operands(*(operand[staying] for operand in work))
+        work, work_means = work[staying], work_means[staying]
         pv = pv[staying]
         worst_active = worst_active[staying]
-    mean, variance, excursion = _moments(operands, steering, noise, final_pv,
-                                         int(iterations.max()))
+    mean, variance, excursion = _moments(transposed, conj_means, steering,
+                                         noise, final_pv, int(iterations.max()))
     traces = tuple(
         SolveTrace(
             iterations=int(iterations[i]),
@@ -525,10 +495,10 @@ def em_step(dictionary, state: NuvState, stat, config: SolverConfig) -> NuvState
     if matrix.shape[1] != state.prior_variances.size:
         raise ValueError("dictionary and state disagree on atom count")
     matrices = np.asarray(matrix, dtype=complex)[None]
-    mean, variance, _ = _moments(_operands(matrices, _as_mean(stat)[None]),
+    conj_means = np.asarray(_as_mean(stat), dtype=complex).conj()[None]
+    mean, variance, _ = _moments(matrices.swapaxes(1, 2).copy(), conj_means,
                                  _is_ula_stack(matrices), config.noise_scale,
-                                 state.prior_variances[None],
-                                 state.iteration)
+                                 state.prior_variances[None], state.iteration)
     return NuvState(prior_variances=_em_update(mean, variance)[0],
                     iteration=state.iteration + 1)
 
@@ -536,11 +506,12 @@ def em_step(dictionary, state: NuvState, stat, config: SolverConfig) -> NuvState
 def solve(dictionary, stat, config: SolverConfig, keep_history: bool = False):
     """Run the variance fixed point to convergence.
 
-    Iterates :func:`em_step` until the max-norm change of the prior
-    variances drops below ``tolerance * max(1, ||pv||_inf)`` or
-    ``max_iterations`` is reached, then evaluates the posterior moments once
-    more at the final variances.  This is the stack loop run on a stack of
-    one problem; the state and moment records are built once, at the end.
+    Runs :func:`solve_stack` on a stack of one problem: from
+    ``config.init.value`` it repeats the sweep :func:`em_step` makes until
+    the max-norm change of the prior variances drops below
+    ``tolerance * max(1, ||pv||_inf)`` or ``max_iterations`` is reached,
+    then evaluates the posterior moments once more at the final variances.
+    The state and moment records are built once, at the end.
 
     Returns
     -------
@@ -552,9 +523,8 @@ def solve(dictionary, stat, config: SolverConfig, keep_history: bool = False):
         raise ValueError("snapshot mean contains non-finite entries")
     if matrix.shape[0] != ybar.size:
         raise ValueError("dictionary and statistic disagree on sensor count")
-    pv = initial_state(matrix.shape[1], config.init).prior_variances
     pv, mean, variance, excursion, (trace,) = solve_stack(
-        matrix[None], ybar[None], pv[None], config, keep_history)
+        matrix[None], ybar[None], config, keep_history)
     return (NuvState(prior_variances=pv[0], iteration=trace.iterations),
             PosteriorMoments(mean=mean[0], variance=variance[0],
                              clamp_excursion=float(excursion[0])),

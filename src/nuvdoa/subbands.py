@@ -10,8 +10,8 @@ scan point.
 
 Bands are solved as one stack by the solver's fixed-point loop, the same
 loop a flat solve runs as a stack of one: their dictionaries are padded to
-a common width with zero columns (a zero column with zero starting variance
-never moves and never couples into the solve).  Every band still follows
+a common width with zero columns (the loop starts a zero column at zero
+variance, where it stays without coupling into the solve).  Every band still follows
 its own convergence schedule; a band leaves the active stack the moment
 its own stopping rule fires.  The scan runs on one thread, one stack of at
 most ``_MAX_STACK`` bands after another, which bounds its memory on long
@@ -36,7 +36,6 @@ from .solver import (
     SolverNumericalError,
     Spectrum,
     _as_mean,
-    initial_state,
     solve_stack,
 )
 
@@ -96,14 +95,12 @@ def _solve_band_stack(bands, stat, config: SolverConfig,
         raise ValueError("statistic and geometry disagree on sensor count")
     width = max(band.grid.values.size for band in bands)
     mats = np.zeros((len(bands), n, width), dtype=complex)
-    pv = np.zeros((len(bands), width))
     for i, band in enumerate(bands):
-        m = band.grid.values.size
-        mats[i, :, :m] = steering_matrix(band.grid.values, geometry)
-        pv[i, :m] = initial_state(m, config.init).prior_variances
+        mats[i, :, :band.grid.values.size] = steering_matrix(
+            band.grid.values, geometry)
     means = np.broadcast_to(mean, (len(bands), n))
     try:
-        _, post_mean, _, _, _ = solve_stack(mats, means, pv, config)
+        _, post_mean, _, _, _ = solve_stack(mats, means, config)
     except SolverNumericalError as exc:
         centers = [round(float(np.degrees(bands[i].center)), 4)
                    for i in exc.problems]

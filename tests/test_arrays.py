@@ -15,6 +15,7 @@ from nuvdoa.arrays import (
     sample_covariance,
     simulate_snapshots,
     snapshot_mean,
+    steering_matrix,
     steering_vector,
 )
 
@@ -56,6 +57,9 @@ def test_steering_rejects_out_of_range_azimuth():
         steering_vector(math.pi / 2, GEOM4)
     with pytest.raises(ValueError):
         steering_vector(-math.pi / 2 - 1e-9, GEOM4)
+    # An array is checked at once; the message names the first bad azimuth.
+    with pytest.raises(ValueError, match=r"^azimuth .*\b1\.6\b.* outside"):
+        steering_matrix([0.1, -0.4, 1.6, 0.2, -1.7], GEOM4)
 
 
 def test_steering_conjugate_symmetry():

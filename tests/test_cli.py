@@ -14,7 +14,7 @@ import yaml
 from nuvdoa.cli import ConfigError, config_keys, load_config, main, parse_config
 from nuvdoa.harness import SPECTRUM_METHODS, run_trial
 from nuvdoa.reports import load_error_table, load_report, load_sigma2_table
-from nuvdoa.solver import constant_init, random_uniform_init
+from nuvdoa.solver import constant_init
 
 SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "config_schema.md"
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
@@ -53,7 +53,7 @@ class TestParseConfig:
             "methods": ["music", "mvdr"],
             "snr_sweep": [0.0, 10.0],
             "scenario": {"k_sources": 2, "n_snapshots": 50},
-            "solver": {"sigma2": 3.0, "init": {"kind": "constant", "value": 2.0}},
+            "solver": {"sigma2": 3.0, "init": {"value": 2.0}},
             "pipeline": {"known_snr": "scenario", "coarse_cells": 901},
         })
         assert config.method_list == ("music", "mvdr")
@@ -84,9 +84,9 @@ class TestParseConfig:
 
     def test_init_section_becomes_init_spec(self):
         assert parse_config({}).solver.init == constant_init(1.0)
-        config = parse_config({"solver": {"init": {"kind": "random_uniform", "seed": 3}}})
-        assert config.solver.init == random_uniform_init(3)
-        assert config.solver_config(1.0).init == random_uniform_init(3)
+        config = parse_config({"solver": {"init": {"value": 3.0}}})
+        assert config.solver.init == constant_init(3.0)
+        assert config.solver_config(1.0).init == constant_init(3.0)
 
     @pytest.mark.parametrize("raw, key", [
         ({"trails": 3}, "trails"),
@@ -324,7 +324,8 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides, message", [
-        ({"solver": {"init": {"kind": "constnat"}}}, "unknown init kind 'constnat'"),
+        ({"solver": {"init": {"kind": "constant"}}},
+         "unknown config key 'solver.init.kind'"),
         ({"solver": {"init": {"value": -1}}}, "constant init value must be positive"),
         ({"pipeline": {"fine_step_deg": 0}}, "need 0 < fine_step <= half_width"),
         ({"pipeline": {"coarse_cells": 1}}, "coarse grid needs at least 2 cells"),
@@ -349,6 +350,18 @@ class TestExitCodes:
         ({"methods": "music"}, "methods must be a list"),
         ({"scenario": {"source_model": "coherant"}}, "unknown source model 'coherant'"),
         ({"workers": 2}, "workers must be 1: the sub-band scan runs on one thread"),
+        ({"scenario": {"snr_db": float("nan")}}, "snr_db must be a number"),
+        ({"solver": {"sigma2": float("nan")}}, "solver.sigma2 must be a number or null"),
+        ({"solver": {"tolerance": float("nan")}}, "solver.tolerance must be a number"),
+        ({"solver": {"init": {"value": float("nan")}}},
+         "solver.init.value must be a number"),
+        ({"pipeline": {"fine_step_deg": float("nan")}},
+         "pipeline.fine_step_deg must be a number"),
+        ({"pipeline": {"snr_gate_db": float("nan")}},
+         "pipeline.snr_gate_db must be a number"),
+        ({"pipeline": {"known_snr": float("nan")}},
+         "pipeline.known_snr must be a number, 'scenario' or null"),
+        ({"snr_sweep": [0.0, float("nan")]}, "snr_sweep[1] must be a number"),
     ])
     def test_invalid_settings_are_two(self, tmp_path, capsys, overrides, message):
         path = _write_config(tmp_path, overrides)
@@ -361,7 +374,7 @@ class TestExitCodes:
     def test_numerical_failure_is_three(self, tmp_path, capsys):
         path = _write_config(tmp_path, {
             "solver": {"sigma2": 0.01,
-                       "init": {"kind": "constant", "value": 1e308}},
+                       "init": {"value": 1e308}},
         })
         with np.errstate(all="ignore"):
             code = main(["spectrum", "--config", str(path), "--method",

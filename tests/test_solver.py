@@ -29,10 +29,8 @@ from nuvdoa.solver import (
     _is_ula_stack,
     constant_init,
     em_step,
-    initial_state,
     posterior_moments,
     precision_matrix,
-    random_uniform_init,
     select_peaks,
     solve,
     solve_stack,
@@ -217,7 +215,7 @@ def test_solve_history_follows_hand_iterated_sweeps():
                        tolerance=1e-300)
     state, moments, trace = solve(d, stat, cfg, keep_history=True)
     assert len(trace.history) == 61
-    stepped = initial_state(180, cfg.init)
+    stepped = NuvState(np.ones(180))
     reference = stepped
     for solved in trace.history[1:]:
         stepped = em_step(d, stepped, stat, cfg)
@@ -272,12 +270,11 @@ def test_stack_matches_problems_solved_alone():
     rng = np.random.default_rng(8)
     problems = [random_problem(rng, 4, 8) for _ in range(4)]
     cfg = SolverConfig(sigma2=0.6, n_snapshots=3, max_iterations=400,
-                       tolerance=1e-4, init=random_uniform_init(2))
+                       tolerance=1e-4)
     matrices = np.stack([a for a, _, _ in problems])
     means = np.stack([ybar for _, _, ybar in problems])
-    pv = np.stack([initial_state(8, cfg.init).prior_variances] * 4)
     final_pv, mean, variance, excursion, traces = solve_stack(
-        matrices, means, pv, cfg, keep_history=True)
+        matrices, means, cfg, keep_history=True)
     assert len({trace.iterations for trace in traces}) > 1
     for i, (a, _, ybar) in enumerate(problems):
         state, moments, trace = solve(a, ybar, cfg, keep_history=True)
@@ -292,6 +289,37 @@ def test_stack_matches_problems_solved_alone():
         assert len(traces[i].history) == trace.iterations + 1
         for left, right in zip(traces[i].history, trace.history):
             npt.assert_array_equal(left, right)
+
+
+def test_stack_starts_live_columns_at_init_and_padding_at_zero():
+    """solve_stack sets its own start; padding starts and stays at zero."""
+    geom = UlaGeometry(8)
+    dictionaries = [build_dictionary(build_grid(m), geom).matrix
+                    for m in (20, 33, 41)]
+    widths = [d.shape[1] for d in dictionaries]
+    matrices = np.zeros((3, 8, max(widths)), dtype=complex)
+    for i, d in enumerate(dictionaries):
+        matrices[i, :, :widths[i]] = d
+    scen = Scenario(geometry=geom, true_doas=(0.2,), n_snapshots=10,
+                    snr_db=5.0)
+    ybar = snapshot_mean(simulate_snapshots(scen, seed=5)).mean
+    cfg = SolverConfig(sigma2=0.5, n_snapshots=10, max_iterations=200,
+                       init=constant_init(2.0))
+    final_pv, mean, variance, excursion, traces = solve_stack(
+        matrices, np.broadcast_to(ybar, (3, 8)), cfg, keep_history=True)
+    for i, (d, m) in enumerate(zip(dictionaries, widths)):
+        npt.assert_array_equal(traces[i].history[0][:m], 2.0)
+        npt.assert_array_equal(traces[i].history[0][m:], 0.0)
+        assert not final_pv[i, m:].any()
+        assert not mean[i, m:].any() and not variance[i, m:].any()
+        state, moments, trace = solve(d, ybar, cfg, keep_history=True)
+        npt.assert_array_equal(final_pv[i, :m], state.prior_variances)
+        npt.assert_array_equal(mean[i, :m], moments.mean)
+        npt.assert_array_equal(variance[i, :m], moments.variance)
+        assert excursion[i] == moments.clamp_excursion
+        assert traces[i].iterations == trace.iterations
+        for left, right in zip(traces[i].history, trace.history):
+            npt.assert_array_equal(left[:m], right)
 
 
 def _primal_moments(matrix, ybar, pv, scale):
@@ -363,16 +391,14 @@ def test_padded_edge_band_stack_matches_reference_moments():
     widths = [len(band.grid) for band in plan.bands]
     assert len(set(widths)) > 1
     matrices = np.zeros((len(widths), 16, max(widths)), dtype=complex)
-    pv = np.zeros((len(widths), max(widths)))
     for i, band in enumerate(plan.bands):
         matrices[i, :, :widths[i]] = steering_matrix(band.grid.values, geom)
-        pv[i, :widths[i]] = 1.0
     scen = Scenario(geometry=geom, true_doas=(theta,), n_snapshots=40,
                     snr_db=10.0)
     ybar = snapshot_mean(simulate_snapshots(scen, seed=4)).mean
     cfg = SolverConfig(sigma2=0.7, n_snapshots=40, init=constant_init(1.0))
     final_pv, mean, variance, _, _ = solve_stack(
-        matrices, np.broadcast_to(ybar, (len(widths), 16)), pv, cfg)
+        matrices, np.broadcast_to(ybar, (len(widths), 16)), cfg)
     for i, m in enumerate(widths):
         assert not mean[i, m:].any() and not variance[i, m:].any()
         _check_against_references(matrices[i, :, :m], ybar, final_pv[i, :m],
@@ -472,14 +498,6 @@ def test_ula_detection_rejects_other_dictionaries(kind):
                               moments.mean, moments.variance, cfg)
 
 
-def test_initial_state_random_bounds_and_determinism():
-    state = initial_state(1000, random_uniform_init(seed=3))
-    again = initial_state(1000, random_uniform_init(seed=3))
-    npt.assert_array_equal(state.prior_variances, again.prior_variances)
-    assert np.all(state.prior_variances > 0.5)
-    assert np.all(state.prior_variances <= 1.5)
-
-
 def test_spectrum_is_elementwise_modulus():
     grid = build_grid(4)
     mom = PosteriorMoments(mean=np.array([0, 3 + 4j, 0, 0]),
@@ -533,6 +551,12 @@ def test_config_validation():
         SolverConfig(sigma2=1.0, n_snapshots=0)
     with pytest.raises(ValueError):
         SolverConfig(sigma2=1.0, n_snapshots=1, tolerance=0.0)
+    with pytest.raises(ValueError, match="sigma2 must be positive"):
+        SolverConfig(sigma2=math.nan, n_snapshots=1)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        SolverConfig(sigma2=1.0, n_snapshots=1, tolerance=math.nan)
+    with pytest.raises(ValueError, match="init value must be positive"):
+        constant_init(math.nan)
 
 
 def test_sweep_cost_script_runs():
