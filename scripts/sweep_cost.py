@@ -1,8 +1,10 @@
-"""Print the cost of one NUV-EM sweep at each problem shape the pipelines solve.
+"""Print the cost of one NUV solver sweep at each problem shape the pipelines solve.
 
-One sweep is one call of the solver's stack kernel ``solver._moments``: the
-posterior moments of every problem of a stack at its current prior
-variances.  The shapes are those of the package's solves, all on 16 sensors:
+One sweep is what the solver's stack loop runs per iteration: one call of
+the kernel ``solver._moments`` (the posterior moments and gains of every
+problem of a stack at its current prior variances), then the MacKay
+variance update ``solver._mackay_update``.  The shapes are those of the
+package's solves, all on 16 sensors:
 
 - ``16x3000``: the ``nuv_ssr_flat`` flat solve;
 - ``16x1801``: the sparse coarse solve below the SNR gate;
@@ -10,9 +12,10 @@ variances.  The shapes are those of the package's solves, all on 16 sensors:
 - ``22x16x101`` and ``12x16x101``: the sub-band stacks of the one- and
   two-source scans (0.01-degree step, 0.5-degree half width).
 
-Each stack is timed at the prior variances reached after ``--warmup`` EM
+Each stack is timed at the prior variances reached after ``--warmup``
 sweeps on a seeded one-source statistic (K=1, L=100, 10 dB, sigma2 = 1), so
-that the variances are as spread as in a running solve.  The printed figure
+that the variances are as spread as in a running solve; the loop's solves
+stop after 3 to 6 sweeps on the package's workloads.  The printed figure
 is the median over ``--rounds`` rounds of the mean time of ``--sweeps``
 sweeps, with the fastest round beside it.  Run from the root of a checkout:
 
@@ -38,7 +41,7 @@ from nuvdoa.arrays import (  # noqa: E402
     snapshot_mean,
     steering_matrix,
 )
-from nuvdoa.solver import _em_update, _is_ula_stack, _moments  # noqa: E402
+from nuvdoa.solver import _is_ula_stack, _mackay_update, _moments  # noqa: E402
 from nuvdoa.subbands import plan_subbands  # noqa: E402
 
 N_SENSORS = 16
@@ -79,14 +82,19 @@ def sweep_us(matrices, args) -> tuple:
                 np.broadcast_to(mean, (count, N_SENSORS)).conj())
     steering = _is_ula_stack(matrices)
     pv = (np.abs(matrices[:, 0]) > 0).astype(float)
+
+    def sweep(pv, iteration):
+        mean, _, _, gain = _moments(*operands, steering, NOISE_SCALE, pv,
+                                    iteration)
+        return _mackay_update(pv, mean, gain, iteration)
+
     for iteration in range(args.warmup):
-        pv = _em_update(*_moments(*operands, steering, NOISE_SCALE, pv,
-                                  iteration)[:2])
+        pv = sweep(pv, iteration)
     rounds = []
     for _ in range(args.rounds):
         started = time.perf_counter()
         for _ in range(args.sweeps):
-            _moments(*operands, steering, NOISE_SCALE, pv, args.warmup)
+            sweep(pv, args.warmup)
         rounds.append((time.perf_counter() - started) / args.sweeps * 1e6)
     return statistics.median(rounds), min(rounds)
 
@@ -95,7 +103,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sweeps", type=int, default=200)
     parser.add_argument("--rounds", type=int, default=7)
-    parser.add_argument("--warmup", type=int, default=50)
+    parser.add_argument("--warmup", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     if min(args.sweeps, args.rounds) < 1 or args.warmup < 0:

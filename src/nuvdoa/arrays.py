@@ -74,8 +74,8 @@ class Scenario:
     """Ground-truth description of one simulated observation.
 
     ``noise_variance`` is derived from ``snr_db`` under unit per-source
-    power: ``snr_db = 10 log10(1 / noise_variance)``.  An infinite SNR
-    yields exactly zero noise.
+    power: ``snr_db = 10 log10(1 / noise_variance)``.  An SNR of +inf
+    yields exactly zero noise; -inf (no signal) is refused.
     """
 
     geometry: UlaGeometry
@@ -99,6 +99,8 @@ class Scenario:
             raise ValueError("n_snapshots must be positive")
         if self.source_model not in SOURCE_MODELS:
             raise ValueError(f"unknown source model {self.source_model!r}")
+        if self.snr_db == -math.inf:
+            raise ValueError("snr_db must be greater than -inf")
         object.__setattr__(self, "true_doas", doas)
         variance = 0.0 if math.isinf(self.snr_db) else 10.0 ** (-self.snr_db / 10.0)
         object.__setattr__(self, "noise_variance", variance)

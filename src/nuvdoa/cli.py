@@ -97,17 +97,19 @@ def _check_type(name: str, kind, value):
     return value
 
 
-def _build(default, raw: dict, prefix: str = ""):
+def _build(default, raw: dict, prefix: str = "", paths=None):
     """``default`` with the values of ``raw`` put in, field by field.
 
     Keys are the dataclass's field names; a dataclass-valued field reads a
     nested mapping, any other field a value of its annotated type (see
     ``_check_type``).  An omitted key keeps its value in ``default``.
+    Errors name a key by ``prefix + key``, or by ``paths[key]`` for a key
+    the config file writes under another section.
     """
     kinds = get_type_hints(type(default))
     changes = {}
     for key, value in raw.items():
-        name = prefix + key
+        name = (paths or {}).get(key, prefix + key)
         if is_dataclass(kinds[key]):
             value = _build(getattr(default, key), _section(value, name), name + ".")
         else:
@@ -146,7 +148,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
         raise ConfigError(f"unsupported schema_version {version!r}")
     scenario = _section(raw.pop("scenario", None), "scenario")
     try:
-        return _build(ScenarioConfig(), {**raw, **scenario})
+        return _build(ScenarioConfig(), {**raw, **scenario},
+                      paths={key: "scenario." + key for key in scenario})
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -153,6 +154,10 @@ class ScenarioConfig:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
         self.doa_sampling.check(self.k_sources)
+        if self.snr_db == -math.inf:
+            raise ValueError("snr_db must be greater than -inf")
+        if -math.inf in self.snr_sweep:
+            raise ValueError("snr_sweep items must be greater than -inf")
         if self.workers != 1:
             raise ValueError("workers must be 1: the sub-band scan runs on one thread")
         # Build a solver spec once, so its checks fire here.
@@ -176,7 +181,7 @@ class ScenarioConfig:
         return self.pipeline
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     seed: int
     true_doas_deg: tuple
@@ -306,6 +311,17 @@ def simulate_trial(config: ScenarioConfig, trial_index: int,
     return scenario, simulate_snapshots(scenario, trial_seed)
 
 
+@lru_cache(maxsize=1)
+def _float_tuple(data: bytes) -> tuple:
+    """The float64 values packed in ``data``, as a tuple.
+
+    Trials in a row with the same true directions (a fixed draw, or one
+    trial run for several methods and SNRs) share one tuple rather than
+    one each.  The key is the bytes, so -0.0 and 0.0 stay apart.
+    """
+    return tuple(np.frombuffer(data).tolist())
+
+
 def run_trial(config: ScenarioConfig, trial_index: int,
               method: str | None = None, snr_db: float | None = None) -> TrialRecord:
     method = method or config.method_list[0]
@@ -323,7 +339,7 @@ def run_trial(config: ScenarioConfig, trial_index: int,
         errors, _ = match_and_score(degrees, truth_deg)
         estimates_deg = tuple(degrees.tolist())
         matched_errors_deg = tuple(errors.tolist())
-    return TrialRecord(seed=trial_seed, true_doas_deg=tuple(truth_deg.tolist()),
+    return TrialRecord(seed=trial_seed, true_doas_deg=_float_tuple(truth_deg.tobytes()),
                        estimates_deg=estimates_deg,
                        matched_errors_deg=matched_errors_deg,
                        method=method, runtime_ms=runtime_ms, flags=flags)
@@ -341,7 +357,17 @@ def aggregate(records, threshold_deg: float) -> Aggregates:
     if pooled:
         arr = np.abs(np.asarray(pooled))
         rmse = float(np.sqrt(np.mean(arr ** 2)))
-        median = float(np.median(arr))
+        # np.median's value, read off the sorted errors: np.median imports
+        # numpy.ma on first use, about half a megabyte.  Sorting puts NaN
+        # last; np.median returns NaN if there is one.
+        arr.sort()
+        middle = arr.size // 2
+        if arr.size % 2:
+            median = float(arr[middle])
+        else:
+            median = float((arr[middle - 1] + arr[middle]) / 2)
+        if np.isnan(arr[-1]):
+            median = math.nan
     else:
         rmse = None
         median = None

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .harness import Aggregates, RunReport, TrialRecord, aggregate
 from .pipeline import (
@@ -22,6 +22,8 @@ from .pipeline import (
 )
 
 SCHEMA_VERSION = 1
+
+_RECORD_FIELDS = tuple(field.name for field in fields(TrialRecord))
 
 SUMMARY_COLUMNS = ("method", "snr_db", "L", "K", "trials", "rmse_deg",
                    "median_abs_error_deg", "detection_rate", "runtime_ms_mean")
@@ -45,7 +47,9 @@ def dump_report(report: RunReport, path) -> None:
     with open(path, "w") as handle:
         handle.write(json.dumps(header) + "\n")
         for record in report.records:
-            handle.write(json.dumps(asdict(record)) + "\n")
+            # The fields themselves: asdict would deep-copy every tuple.
+            handle.write(json.dumps({name: getattr(record, name)
+                                     for name in _RECORD_FIELDS}) + "\n")
 
 
 def _close(a, b) -> bool:
@@ -54,17 +58,38 @@ def _close(a, b) -> bool:
     return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
 
 
+def _record_fields(line: str, previous: dict) -> dict:
+    """The fields of one record line, with tuples for json's arrays.
+
+    A field that repeats the previous record's value exactly (same repr)
+    reuses its object, so the values a report repeats on every line, such
+    as the method, the flags or fixed true directions, are held once.
+    """
+    values = {}
+    for key, value in json.loads(line).items():
+        if isinstance(value, list):
+            value = tuple(value)
+        last = previous.get(key, value)
+        if last is not value and last == value and repr(last) == repr(value):
+            value = last
+        values[key] = value
+    return values
+
+
 def load_report(path) -> RunReport:
+    # Lines are parsed as they are read; no list of the file's lines is kept.
     with open(path) as handle:
-        lines = [line for line in handle if line.strip()]
-    if not lines:
-        raise ReportIntegrityError(f"{path}: empty report")
-    header = json.loads(lines[0])
+        lines = (line for line in handle if line.strip())
+        first = next(lines, None)
+        if first is None:
+            raise ReportIntegrityError(f"{path}: empty report")
+        header = json.loads(first)
+        records = []
+        values = {}
+        for line in lines:
+            values = _record_fields(line, values)
+            records.append(TrialRecord(**values))
     detection_threshold_deg = header["detection_threshold_deg"]
-    # json writes the records' tuples as arrays; read them back as tuples.
-    records = [TrialRecord(**{key: tuple(value) if isinstance(value, list) else value
-                              for key, value in json.loads(line).items()})
-               for line in lines[1:]]
     stored = header["aggregates"]
     recomputed = aggregate(records, detection_threshold_deg)
     checks = (

@@ -4,9 +4,15 @@ Each grid atom gets a zero-mean complex Gaussian prior whose variance is a
 free parameter; type-II maximum likelihood over those variances is run by
 fixed-point iteration.  One sweep computes the posterior mean and variance
 of the atom amplitudes under the current prior variances, then replaces each
-prior variance with posterior second moment ``|mean|^2 + variance``.  Atoms
-that the data does not support collapse to zero variance, which is what
-produces a sparse angular spectrum.
+prior variance by MacKay's update ``|mean|^2 / (1 - variance / pv)``
+(Tipping, JMLR 2001), computed as ``pv |a^H Q ybar|^2 / gain`` from the
+sweep's own gain ``a^H Q a``; :func:`em_step` is one such sweep.  It has
+the fixed points of the EM update ``|mean|^2 + variance``, since
+``pv - variance = |mean|^2`` at a fixed point of either, and reaches them
+in a few sweeps where EM creeps: on the shrinkage branch (noise floor
+above the signal) EM approaches zero sublinearly, while MacKay's update
+contracts geometrically.  Atoms that the data does not support collapse to
+zero variance, which is what produces a sparse angular spectrum.
 
 All computations run on the snapshot mean only; the snapshot count enters
 through the noise scale ``sigma2 / n_snapshots``.  The loop sets its own
@@ -39,7 +45,8 @@ from .arrays import AngleGrid, SteeringDictionary, SufficientStatistic
 
 
 class SolverNumericalError(RuntimeError):
-    """Raised when a precision-matrix factorization breaks down.
+    """Raised when a precision-matrix factorization breaks down, or a live
+    atom's gain rounds to zero or below.
 
     ``problems`` holds the stack indices of the failing problems when a
     stack of problems was being solved; ``reason`` is the message without
@@ -265,12 +272,14 @@ def _is_ula_stack(matrices: np.ndarray) -> bool:
     live = matrices[:, :1] == 1
     if not (live | ~matrices.any(axis=1, keepdims=True)).all():
         return False
-    step = matrices[:, 1:2]
+    step = matrices[:, 1]
     with np.errstate(invalid="ignore", over="ignore"):
-        off_circle = np.abs(np.abs(step) - 1) * live
-        recursion = np.abs(matrices[:, 1:] - step * matrices[:, :-1])
-        return bool(off_circle.max(initial=0.0) <= tol
-                    and recursion.max(initial=0.0) <= tol)
+        off_circle = np.abs(np.abs(step) - 1) * live[:, 0]
+        # The recursion is checked one row at a time: a whole-stack residual
+        # would allocate stack-sized complex temporaries.
+        return bool(off_circle.max(initial=0.0) <= tol and all(
+            np.abs(matrices[:, d] - step * matrices[:, d - 1]).max(initial=0.0)
+            <= tol for d in range(1, n)))
 
 
 @cache
@@ -399,27 +408,46 @@ def _moments(transposed: np.ndarray, conj_means: np.ndarray, steering: bool,
     # The minimum is capped at zero; subtracting from 0.0 keeps zero
     # excursions at +0.0.
     excursion = 0.0 - raw.min(axis=1, initial=0.0)
-    return mean, np.maximum(raw, 0.0), excursion
+    return mean, np.maximum(raw, 0.0), excursion, gain
 
 
-def _em_update(mean: np.ndarray, variance: np.ndarray) -> np.ndarray:
-    """The NUV-EM variance update pv <- |mean|^2 + var, validated."""
-    pv = np.abs(mean) ** 2 + variance
-    _check_prior_variances(pv)
-    return pv
+def _mackay_update(pv: np.ndarray, mean: np.ndarray, gain: np.ndarray,
+                   iteration: int) -> np.ndarray:
+    """The MacKay variance update pv <- |mean|^2 / (1 - var/pv), validated.
+
+    With ``var = pv - pv^2 gain`` and ``mean = pv conj(a^H Q ybar)`` this is
+    ``|mean|^2 / (pv gain) = pv |a^H Q ybar|^2 / gain``, read off the sweep's
+    own mean and gain rather than the clamped variance.  ``gain > 0`` for a
+    nonzero column, since ``Q`` is positive definite; an atom at zero
+    variance (padding, or one that underflowed) stays at zero.  A live atom
+    whose computed gain is not positive (the Toeplitz sum's absolute
+    rounding, at noise floors far below ``eps n^2 sum(pv)``) raises
+    :class:`SolverNumericalError` naming its problems.
+    """
+    broken = ((pv > 0) & ~(gain > 0)).any(axis=1)
+    if broken.any():
+        raise SolverNumericalError("atom gain is not positive", iteration,
+                                   np.flatnonzero(broken))
+    update = np.zeros_like(pv)
+    np.divide(np.abs(mean) ** 2, pv * gain, out=update, where=pv > 0)
+    _check_prior_variances(update)
+    return update
 
 
 def solve_stack(matrices, means, config: SolverConfig,
                 keep_history: bool = False):
     """Run the variance fixed point on a stack of independent problems.
 
-    ``matrices`` is ``(b, n, m)`` and ``means`` ``(b, n)``.  Every column
-    with a nonzero entry starts at the prior variance ``config.init.value``
-    and every all-zero column at 0.  A zero column at zero variance stays
-    there and never couples into its problem, so dictionaries of different
-    widths can share a stack by zero padding; an all-zero column of a
-    dictionary itself is treated the same way (steering columns have unit
-    modulus entries, so no built dictionary has one).  Each problem stops
+    Each sweep evaluates the posterior moments and replaces the variances
+    by :func:`_mackay_update`.  ``matrices`` is ``(b, n, m)`` and ``means``
+    ``(b, n)``; a ``(b, n, m)`` view of a C-contiguous ``(b, m, n)`` array
+    is used without a copy.  Every column with a nonzero entry starts at
+    the prior variance ``config.init.value`` and every all-zero column at
+    0.  A zero column at zero variance stays there and never couples into
+    its problem, so dictionaries of different widths can share a stack by
+    zero padding; an all-zero column of a dictionary itself is treated the
+    same way (steering columns have unit modulus entries, so no built
+    dictionary has one).  Each problem stops
     when the max-norm change of its variances drops below
     ``tolerance * max(1, ||pv||_inf)`` or at ``max_iterations``, then leaves
     the active stack; every problem gets one final moment evaluation at its
@@ -432,7 +460,7 @@ def solve_stack(matrices, means, config: SolverConfig,
     """
     matrices = np.asarray(matrices, dtype=complex)
     count = matrices.shape[0]
-    transposed = matrices.swapaxes(1, 2).copy()
+    transposed = np.ascontiguousarray(matrices.swapaxes(1, 2))
     conj_means = np.asarray(means, dtype=complex).conj()
     steering = _is_ula_stack(matrices)
     noise = config.noise_scale
@@ -447,10 +475,15 @@ def solve_stack(matrices, means, config: SolverConfig,
     work, work_means = transposed, conj_means
     worst_active = np.zeros(count)
     for iteration in range(1, config.max_iterations + 1):
-        mean, variance, excursion = _moments(work, work_means, steering, noise,
-                                             pv, iteration - 1)
+        try:
+            mean, _, excursion, gain = _moments(work, work_means, steering,
+                                                noise, pv, iteration - 1)
+            pv_new = _mackay_update(pv, mean, gain, iteration - 1)
+        except SolverNumericalError as exc:
+            # Name the failing problems by their index in the caller's stack.
+            raise SolverNumericalError(exc.reason, exc.iteration,
+                                       active[list(exc.problems)]) from None
         np.maximum(worst_active, excursion, out=worst_active)
-        pv_new = _em_update(mean, variance)
         change = np.abs(pv_new - pv).max(axis=1)
         pv = pv_new
         if histories is not None:
@@ -475,8 +508,9 @@ def solve_stack(matrices, means, config: SolverConfig,
         work, work_means = work[staying], work_means[staying]
         pv = pv[staying]
         worst_active = worst_active[staying]
-    mean, variance, excursion = _moments(transposed, conj_means, steering,
-                                         noise, final_pv, int(iterations.max()))
+    mean, variance, excursion, _ = _moments(transposed, conj_means, steering,
+                                            noise, final_pv,
+                                            int(iterations.max()))
     traces = tuple(
         SolveTrace(
             iterations=int(iterations[i]),
@@ -490,16 +524,18 @@ def solve_stack(matrices, means, config: SolverConfig,
 
 
 def em_step(dictionary, state: NuvState, stat, config: SolverConfig) -> NuvState:
-    """One fixed-point sweep: posterior moments, then pv <- |mean|^2 + var."""
+    """One sweep of the loop: posterior moments, then MacKay's update."""
     matrix = _as_matrix(dictionary)
     if matrix.shape[1] != state.prior_variances.size:
         raise ValueError("dictionary and state disagree on atom count")
     matrices = np.asarray(matrix, dtype=complex)[None]
     conj_means = np.asarray(_as_mean(stat), dtype=complex).conj()[None]
-    mean, variance, _ = _moments(matrices.swapaxes(1, 2).copy(), conj_means,
-                                 _is_ula_stack(matrices), config.noise_scale,
-                                 state.prior_variances[None], state.iteration)
-    return NuvState(prior_variances=_em_update(mean, variance)[0],
+    pv = state.prior_variances[None]
+    mean, _, _, gain = _moments(
+        matrices.swapaxes(1, 2).copy(), conj_means, _is_ula_stack(matrices),
+        config.noise_scale, pv, state.iteration)
+    return NuvState(prior_variances=_mackay_update(pv, mean, gain,
+                                                   state.iteration)[0],
                     iteration=state.iteration + 1)
 
 
@@ -507,8 +543,8 @@ def solve(dictionary, stat, config: SolverConfig, keep_history: bool = False):
     """Run the variance fixed point to convergence.
 
     Runs :func:`solve_stack` on a stack of one problem: from
-    ``config.init.value`` it repeats the sweep :func:`em_step` makes until
-    the max-norm change of the prior variances drops below
+    ``config.init.value`` it repeats the moment sweep and MacKay's update
+    until the max-norm change of the prior variances drops below
     ``tolerance * max(1, ||pv||_inf)`` or ``max_iterations`` is reached,
     then evaluates the posterior moments once more at the final variances.
     The state and moment records are built once, at the end.

@@ -94,13 +94,16 @@ def _solve_band_stack(bands, stat, config: SolverConfig,
     if mean.size != n:
         raise ValueError("statistic and geometry disagree on sensor count")
     width = max(band.grid.values.size for band in bands)
-    mats = np.zeros((len(bands), n, width), dtype=complex)
+    # Filled as A^T, the layout the solver's loop works in, so that it does
+    # not copy the stack.
+    transposed = np.zeros((len(bands), width, n), dtype=complex)
     for i, band in enumerate(bands):
-        mats[i, :, :band.grid.values.size] = steering_matrix(
-            band.grid.values, geometry)
+        transposed[i, :band.grid.values.size] = steering_matrix(
+            band.grid.values, geometry).T
     means = np.broadcast_to(mean, (len(bands), n))
     try:
-        _, post_mean, _, _, _ = solve_stack(mats, means, config)
+        _, post_mean, _, _, _ = solve_stack(transposed.swapaxes(1, 2), means,
+                                            config)
     except SolverNumericalError as exc:
         centers = [round(float(np.degrees(bands[i].center)), 4)
                    for i in exc.problems]

@@ -203,6 +203,9 @@ def test_scenario_validation():
                  snr_db=0.0)
     with pytest.raises(ValueError):
         Scenario(geometry=GEOM4, true_doas=(), n_snapshots=10, snr_db=0.0)
+    with pytest.raises(ValueError, match="-inf"):
+        Scenario(geometry=GEOM4, true_doas=(0.1,), n_snapshots=10,
+                 snr_db=-math.inf)
 
 
 def test_snapshot_mean_single_snapshot():

@@ -350,7 +350,7 @@ class TestExitCodes:
         ({"methods": "music"}, "methods must be a list"),
         ({"scenario": {"source_model": "coherant"}}, "unknown source model 'coherant'"),
         ({"workers": 2}, "workers must be 1: the sub-band scan runs on one thread"),
-        ({"scenario": {"snr_db": float("nan")}}, "snr_db must be a number"),
+        ({"scenario": {"snr_db": float("nan")}}, "scenario.snr_db must be a number"),
         ({"solver": {"sigma2": float("nan")}}, "solver.sigma2 must be a number or null"),
         ({"solver": {"tolerance": float("nan")}}, "solver.tolerance must be a number"),
         ({"solver": {"init": {"value": float("nan")}}},
@@ -362,6 +362,12 @@ class TestExitCodes:
         ({"pipeline": {"known_snr": float("nan")}},
          "pipeline.known_snr must be a number, 'scenario' or null"),
         ({"snr_sweep": [0.0, float("nan")]}, "snr_sweep[1] must be a number"),
+        ({"scenario": {"snr_db": "ten"}}, "scenario.snr_db must be a number"),
+        ({"scenario": {"n_snapshots": 1.5}}, "scenario.n_snapshots must be an integer"),
+        ({"scenario": {"source_model": 3}}, "scenario.source_model must be a string"),
+        ({"scenario": {"snr_db": float("-inf")}}, "snr_db must be greater than -inf"),
+        ({"snr_sweep": [0.0, float("-inf")]},
+         "snr_sweep items must be greater than -inf"),
     ])
     def test_invalid_settings_are_two(self, tmp_path, capsys, overrides, message):
         path = _write_config(tmp_path, overrides)

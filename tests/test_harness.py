@@ -1,6 +1,7 @@
 """Monte-Carlo harness tests: sampling, scoring, trials, calibration."""
 
 import math
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -205,6 +206,15 @@ class TestRunTrial:
         record = run_trial(cfg, 0, method="bartlett")
         assert record.method == "bartlett"
 
+    def test_true_directions_keep_the_sign_of_zero(self):
+        # Trials in a row with equal directions share one tuple; 0.0 and
+        # -0.0 compare equal but are not the same directions record.
+        records = [run_trial(_config(method="root_music", doa_sampling=DoaSampling(
+            kind="fixed", angles_deg=(angle,))), 0) for angle in (0.0, -0.0, -0.0)]
+        assert [math.copysign(1.0, r.true_doas_deg[0])
+                for r in records] == [1.0, -1.0, -1.0]
+        assert records[2].true_doas_deg is records[1].true_doas_deg
+
 
 def _record(errors, method="music", seed=0):
     return TrialRecord(seed=seed, true_doas_deg=(0.0,) * len(errors)
@@ -241,6 +251,15 @@ class TestAggregate:
         agg = aggregate([_record([1.0])], 1.0)
         assert agg.detection_rate == 0.0
         assert agg.false_alarm_count == 1
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 8, 301])
+    def test_median_equals_numpy_median(self, count):
+        rng = np.random.default_rng(count)
+        errors = (rng.standard_normal(count) * 10.0 ** rng.integers(-4, 2, count)).tolist()
+        records = [_record([e]) for e in errors]
+        assert aggregate(records, 1.0).median_abs_error_deg == np.median(np.abs(errors))
+        records[count // 2] = _record([math.nan])
+        assert math.isnan(aggregate(records, 1.0).median_abs_error_deg)
 
 
 class TestRunSweep:
@@ -339,13 +358,25 @@ class TestCalibrateSigma2:
         assert first == second
 
     def test_oversparse_floor_rejected_for_unequal_pair(self):
+        # Some floor of the list makes the flat solve lose a source (two
+        # peaks on one source, or a spurious one far off) in some trial;
+        # calibration must not pick it.
         cfg = ScenarioConfig(
             k_sources=2, n_sensors=16, n_snapshots=100, snr_db=5.0,
             trials=8, seed=0, snr_sweep=(5.0,),
             doa_sampling=DoaSampling(kind="fixed", angles_deg=(-20.0, 25.0)),
         )
-        table = calibrate_sigma2(cfg, candidates=(3e0, 8e2, 1e4))
-        assert table.sigma2s[0] != 1e4
+        candidates = (3e0, 3e1, 8e2, 1e4)
+        table = calibrate_sigma2(cfg, candidates=candidates)
+        losing = set()
+        for cand in candidates:
+            trial_cfg = replace(cfg, solver=replace(cfg.solver, sigma2=cand))
+            for i in range(cfg.trials):
+                record = run_trial(trial_cfg, i, method="nuv_ssr_flat")
+                if max(map(abs, record.matched_errors_deg)) > 5.0:
+                    losing.add(cand)
+        assert losing
+        assert table.sigma2s[0] not in losing
 
     def test_empty_candidates_raise(self):
         cfg = ScenarioConfig(**self.TIE_CONFIG)

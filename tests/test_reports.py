@@ -2,12 +2,14 @@
 
 import csv
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nuvdoa.arrays import build_grid
-from nuvdoa.harness import DoaSampling, ScenarioConfig, run_cell
+from nuvdoa.harness import DoaSampling, ScenarioConfig, aggregate, run_cell
 from nuvdoa.pipeline import ErrorStdTable, Sigma2Table
 from nuvdoa.reports import (
     SUMMARY_COLUMNS,
@@ -41,6 +43,24 @@ class TestReportRoundTrip:
         path = tmp_path / "cell.jsonl"
         dump_report(report, path)
         assert load_report(path) == report
+
+    def test_repeated_values_round_trip_exactly(self, tmp_path):
+        # Loading shares a value that repeats the previous record's; 0.0
+        # and -0.0 compare equal but must keep their signs.
+        report = _small_report()
+        first, second, third = report.records
+        records = (replace(first, matched_errors_deg=(0.0,)),
+                   replace(second, matched_errors_deg=(-0.0,)),
+                   replace(third, matched_errors_deg=(-0.0,)))
+        report = replace(report, records=records,
+                         aggregates=aggregate(records, report.detection_threshold_deg))
+        path = tmp_path / "cell.jsonl"
+        dump_report(report, path)
+        loaded = load_report(path)
+        assert loaded == report
+        assert [math.copysign(1.0, r.matched_errors_deg[0])
+                for r in loaded.records] == [1.0, -1.0, -1.0]
+        assert all(r.method == "root_music" for r in loaded.records)
 
     def test_round_trip_preserves_timing(self, tmp_path):
         report = _small_report(timing=True)
