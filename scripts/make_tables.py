@@ -1,9 +1,15 @@
 """Regenerate the packaged calibration tables.
 
 Runs the coarse-error calibration (window sizing) and the solver
-noise-floor calibration, then rewrites the JSON files shipped inside
-``nuvdoa/data``.  Takes several minutes on one core; results are fully
-seeded, so a rerun reproduces the shipped files byte for byte.
+noise-floor calibration, then writes ``epsilon_table.json`` and
+``sigma2_table.json`` to ``--out`` (default: ``nuvdoa/data``, the packaged
+files).  This is the one producer of both tables.  Results are fully
+seeded, so two runs with the same arguments write the same bytes.  The
+packaged files were made with the earlier EM solver, so a rerun at the
+defaults does not reproduce them; it changes every NUV estimate.
+
+    python3 scripts/make_tables.py [--epsilon-trials N] [--sigma2-trials N]
+        [--seed S] [--out DIR]
 """
 
 import argparse
@@ -16,14 +22,14 @@ from nuvdoa.harness import (
     calibrate_epsilon,
     calibrate_sigma2,
 )
-from nuvdoa.reports import dump_error_table, dump_sigma2_table
+from nuvdoa.pipeline import dump_error_table, dump_sigma2_table
 
 DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src/nuvdoa/data"
 
 EPSILON_SNRS = (-10.0, -5.0, 0.0, 5.0, 7.0, 10.0, 15.0, 20.0)
 SIGMA2_SNRS = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
-# Spans well below the default candidate anchors: at unit source power the
-# useful noise floors sit near the true per-snapshot noise variance.
+# Spans down to the true per-snapshot noise variance at unit source power,
+# near which the useful noise floors sit.
 SIGMA2_CANDIDATES = (1e-2, 3e-2, 1e-1, 3e-1, 1e0, 3e0, 1e1, 3e1,
                      1e2, 3e2, 8e2, 3e3, 1e4)
 
@@ -41,13 +47,13 @@ def base_config(trials: int, snrs, seed: int) -> ScenarioConfig:
     )
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--epsilon-trials", type=int, default=200)
     parser.add_argument("--sigma2-trials", type=int, default=40)
     parser.add_argument("--seed", type=int, default=20260815)
     parser.add_argument("--out", type=pathlib.Path, default=DATA_DIR)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     t0 = time.perf_counter()
     eps_cfg = base_config(args.epsilon_trials, EPSILON_SNRS, args.seed)

@@ -1,4 +1,4 @@
-"""Command line interface for simulation, estimation, sweeps, calibration.
+"""Command line interface: simulate, spectrum, estimate and sweep.
 
 Configs are YAML documents (see docs/config_schema.md).  Exit codes: 0 on
 success, 2 for configuration problems, 3 for numerical failures.
@@ -20,24 +20,15 @@ import yaml
 
 from .arrays import UlaGeometry, snapshot_mean
 from .harness import (
-    DEFAULT_SIGMA2_CANDIDATES,
     METHOD_TABLE,
     SPECTRUM_METHODS,
     ScenarioConfig,
-    calibrate_epsilon,
-    calibrate_sigma2,
     run_sweep,
     run_trial,
     simulate_trial,
 )
 from .pipeline import resolve_sigma2
-from .reports import (
-    dump_error_table,
-    dump_report,
-    dump_sigma2_table,
-    write_spectrum_csv,
-    write_summary_csv,
-)
+from .reports import dump_report, write_spectrum_csv, write_summary_csv
 from .solver import SolverNumericalError, Spectrum
 from .subbands import plan_subbands, superres_scan
 
@@ -233,20 +224,6 @@ def cmd_sweep(config: ScenarioConfig, args) -> int:
     return 0
 
 
-def cmd_calibrate(config: ScenarioConfig, args) -> int:
-    if args.mode == "epsilon":
-        table, flags = calibrate_epsilon(config)
-        dump_error_table(table, args.out, entry_flags=flags)
-    else:
-        candidates = (tuple(float(c) for c in args.candidates)
-                      if args.candidates else DEFAULT_SIGMA2_CANDIDATES)
-        table = calibrate_sigma2(config, candidates)
-        dump_sigma2_table(table, args.out)
-    if args.verbose:
-        print(f"wrote calibration table to {args.out}", file=sys.stderr)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nuvdoa",
@@ -277,12 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing", action="store_true",
                    help="record per-trial runtimes (makes outputs "
                         "run-dependent)")
-
-    p = sub.add_parser("calibrate", help="emit a calibration table")
-    p.add_argument("--mode", required=True, choices=("epsilon", "sigma2"))
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--candidates", nargs="*", type=float, default=None)
     return parser
 
 
@@ -291,7 +262,6 @@ _COMMANDS = {
     "spectrum": cmd_spectrum,
     "estimate": cmd_estimate,
     "sweep": cmd_sweep,
-    "calibrate": cmd_calibrate,
 }
 
 

@@ -51,8 +51,6 @@ from .solver import (
     spectrum,
 )
 
-DEFAULT_SIGMA2_CANDIDATES = (3e0, 1e1, 3e1, 1e2, 3e2, 8e2, 3e3, 1e4)
-
 _DOA_STREAM_TAG = 0xD0A
 
 
@@ -81,6 +79,9 @@ class DoaSampling:
             object.__setattr__(self, "angles_deg",
                                tuple(float(a) for a in self.angles_deg))
         else:
+            for name in ("lo_deg", "hi_deg"):
+                if not math.isfinite(getattr(self, name)):
+                    raise ValueError(f"{name} must be finite")
             if not self.lo_deg < self.hi_deg:
                 raise ValueError("need lo_deg < hi_deg")
             if self.kind == "uniform_abs_range" and self.lo_deg < 0:
@@ -431,7 +432,7 @@ def calibrate_epsilon(config: ScenarioConfig):
     return table, tuple(entry_flags)
 
 
-def calibrate_sigma2(config: ScenarioConfig, candidates=DEFAULT_SIGMA2_CANDIDATES):
+def calibrate_sigma2(config: ScenarioConfig, candidates):
     """Pick the RMSE-minimizing solver noise floor per sweep SNR.
 
     Ties resolve toward the smaller candidate.  Returns a Sigma2Table.

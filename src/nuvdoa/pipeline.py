@@ -6,6 +6,7 @@ coarse full-azimuth grid otherwise), then subtracts the least-squares fit
 of the other sources' steering vectors from the snapshot mean, and finally
 runs the sub-band scan on a window around the source's coarse angle whose
 width comes from a calibrated table of coarse error standard deviations.
+The module also reads and writes the files of both calibration tables.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ from .solver import (
 from .subbands import plan_subbands, superres_scan
 
 _FALLBACK_EPSILON_DEG = 1.0
+
+# Version of the epsilon and sigma2 table files, apart from the report files'.
+TABLE_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -108,6 +112,14 @@ def _load_packaged(name: str) -> dict:
         return json.load(handle)
 
 
+def _dump_table(description: str, entries: list, path) -> None:
+    payload = {"schema_version": TABLE_SCHEMA_VERSION,
+               "description": description, "entries": entries}
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+
+
 def error_table_from_payload(payload: dict) -> ErrorStdTable:
     """An ErrorStdTable from a parsed ``{"entries": [...]}`` table file."""
     entries = payload["entries"]
@@ -117,6 +129,18 @@ def error_table_from_payload(payload: dict) -> ErrorStdTable:
     )
 
 
+def dump_error_table(table: ErrorStdTable, path, entry_flags=None) -> None:
+    """Write an epsilon table file; a nonempty ``entry_flags[i]`` is kept
+    as entry i's ``flags`` list."""
+    entries = []
+    for i, (snr, eps) in enumerate(zip(table.snrs_db, table.epsilons_deg)):
+        entry = {"snr_db": snr, "epsilon_deg": eps}
+        if entry_flags and entry_flags[i]:
+            entry["flags"] = list(entry_flags[i])
+        entries.append(entry)
+    _dump_table("coarse-stage error std (degrees) by SNR", entries, path)
+
+
 def sigma2_table_from_payload(payload: dict) -> Sigma2Table:
     """A Sigma2Table from a parsed ``{"entries": [...]}`` table file."""
     entries = payload["entries"]
@@ -124,6 +148,13 @@ def sigma2_table_from_payload(payload: dict) -> Sigma2Table:
         snrs_db=tuple(e["snr_db"] for e in entries),
         sigma2s=tuple(e["sigma2"] for e in entries),
     )
+
+
+def dump_sigma2_table(table: Sigma2Table, path) -> None:
+    """Write a sigma2 table file."""
+    _dump_table("solver noise floor by SNR",
+                [{"snr_db": s, "sigma2": v}
+                 for s, v in zip(table.snrs_db, table.sigma2s)], path)
 
 
 @cache
@@ -168,6 +199,8 @@ class PipelineSettings:
         half_width = math.radians(self.half_width_deg)
         if self.coarse_cells < 2:
             raise ValueError("coarse grid needs at least 2 cells")
+        if not math.isfinite(self.half_width_deg):
+            raise ValueError("half_width_deg must be finite")
         if fine_step <= 0 or half_width < fine_step:
             raise ValueError("need 0 < fine_step <= half_width")
         if math.pi / self.coarse_cells <= fine_step:

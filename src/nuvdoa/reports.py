@@ -1,4 +1,4 @@
-"""Report files: line-delimited trial records, summary CSV, table JSON.
+"""Report files: line-delimited trial records, summary CSV, spectrum CSV.
 
 A report file is one JSON header line (cell metadata plus aggregates)
 followed by one JSON line per trial.  Loading recomputes the aggregates
@@ -14,12 +14,6 @@ import math
 from dataclasses import asdict, fields
 
 from .harness import Aggregates, RunReport, TrialRecord, aggregate
-from .pipeline import (
-    ErrorStdTable,
-    Sigma2Table,
-    error_table_from_payload,
-    sigma2_table_from_payload,
-)
 
 SCHEMA_VERSION = 1
 
@@ -145,38 +139,3 @@ def write_spectrum_csv(spectrum, path) -> None:
         writer.writerow(("angle_deg", "magnitude"))
         for angle, value in zip(angles_deg, spectrum.values):
             writer.writerow((repr(angle), repr(float(value))))
-
-
-def dump_error_table(table: ErrorStdTable, path, entry_flags=None) -> None:
-    entries = []
-    for i, (snr, eps) in enumerate(zip(table.snrs_db, table.epsilons_deg)):
-        entry = {"snr_db": snr, "epsilon_deg": eps}
-        if entry_flags and entry_flags[i]:
-            entry["flags"] = list(entry_flags[i])
-        entries.append(entry)
-    payload = {"schema_version": SCHEMA_VERSION,
-               "description": "coarse-stage error std (degrees) by SNR",
-               "entries": entries}
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-
-def load_error_table(path) -> ErrorStdTable:
-    with open(path) as handle:
-        return error_table_from_payload(json.load(handle))
-
-
-def dump_sigma2_table(table: Sigma2Table, path) -> None:
-    payload = {"schema_version": SCHEMA_VERSION,
-               "description": "solver noise floor by SNR",
-               "entries": [{"snr_db": s, "sigma2": v}
-                           for s, v in zip(table.snrs_db, table.sigma2s)]}
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-
-def load_sigma2_table(path) -> Sigma2Table:
-    with open(path) as handle:
-        return sigma2_table_from_payload(json.load(handle))

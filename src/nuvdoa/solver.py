@@ -16,7 +16,7 @@ zero variance, which is what produces a sparse angular spectrum.
 
 All computations run on the snapshot mean only; the snapshot count enters
 through the noise scale ``sigma2 / n_snapshots``.  The loop sets its own
-start: every atom at the prior variance ``init.value``, and every all-zero
+start: every atom at the prior variance ``init``, and every all-zero
 (padding) column at zero, where it stays.
 
 Every sweep runs one flow on a stack of problems: build the sensor-sized
@@ -61,43 +61,31 @@ class SolverNumericalError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class InitSpec:
-    """The prior variance every live atom starts from."""
-
-    value: float = 1.0
-
-    def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError("constant init value must be positive")
-
-
-def constant_init(value: float = 1.0) -> InitSpec:
-    return InitSpec(value=value)
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     """Tuning knobs of the variance iteration.
 
     ``sigma2`` is the noise-floor tuning parameter; together with the
     snapshot count it sets the regularization ``sigma2 / n_snapshots``.
+    ``init`` is the prior variance every live atom starts from.
     """
 
     sigma2: float
     n_snapshots: int
     max_iterations: int = 500
     tolerance: float = 1e-6
-    init: InitSpec = constant_init(1.0)
+    init: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
+        if not 0 < self.sigma2 < np.inf:
+            raise ValueError("sigma2 must be positive and finite")
         if self.n_snapshots < 1:
             raise ValueError("n_snapshots must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
+        if not 0 < self.init < np.inf:
+            raise ValueError("init must be positive and finite")
 
     @property
     def noise_scale(self) -> float:
@@ -109,20 +97,19 @@ class SolverSettings:
     """Solver knobs as they appear in config files.
 
     ``sigma2 = None`` leaves the noise floor to the pipeline's SNR-indexed
-    table.  The iteration budget, tolerance and init default to
-    SolverConfig's.
+    table.  The iteration budget and tolerance default to SolverConfig's;
+    every solve starts from SolverConfig's default init.
     """
 
     sigma2: float | None = None
     max_iterations: int = SolverConfig.max_iterations
     tolerance: float = SolverConfig.tolerance
-    init: InitSpec = SolverConfig.init
 
     def solver_config(self, n_snapshots: int, sigma2: float) -> SolverConfig:
         """The per-solve spec at a resolved noise floor."""
         return SolverConfig(sigma2=sigma2, n_snapshots=n_snapshots,
                             max_iterations=self.max_iterations,
-                            tolerance=self.tolerance, init=self.init)
+                            tolerance=self.tolerance)
 
 
 @dataclass(frozen=True)
@@ -442,7 +429,7 @@ def solve_stack(matrices, means, config: SolverConfig,
     by :func:`_mackay_update`.  ``matrices`` is ``(b, n, m)`` and ``means``
     ``(b, n)``; a ``(b, n, m)`` view of a C-contiguous ``(b, m, n)`` array
     is used without a copy.  Every column with a nonzero entry starts at
-    the prior variance ``config.init.value`` and every all-zero column at
+    the prior variance ``config.init`` and every all-zero column at
     0.  A zero column at zero variance stays there and never couples into
     its problem, so dictionaries of different widths can share a stack by
     zero padding; an all-zero column of a dictionary itself is treated the
@@ -464,7 +451,7 @@ def solve_stack(matrices, means, config: SolverConfig,
     conj_means = np.asarray(means, dtype=complex).conj()
     steering = _is_ula_stack(matrices)
     noise = config.noise_scale
-    pv = np.where(matrices.any(axis=1), config.init.value, 0.0)
+    pv = np.where(matrices.any(axis=1), config.init, 0.0)
     final_pv = np.empty_like(pv)
     iterations = np.empty(count, dtype=int)
     changes = np.empty(count)
@@ -543,7 +530,7 @@ def solve(dictionary, stat, config: SolverConfig, keep_history: bool = False):
     """Run the variance fixed point to convergence.
 
     Runs :func:`solve_stack` on a stack of one problem: from
-    ``config.init.value`` it repeats the moment sweep and MacKay's update
+    ``config.init`` it repeats the moment sweep and MacKay's update
     until the max-norm change of the prior variances drops below
     ``tolerance * max(1, ||pv||_inf)`` or ``max_iterations`` is reached,
     then evaluates the posterior moments once more at the final variances.

@@ -38,7 +38,6 @@ from nuvdoa.reports import load_report
 from nuvdoa.solver import (
     NuvState,
     SolverConfig,
-    constant_init,
     posterior_moments,
     precision_matrix,
     solve,
@@ -111,7 +110,7 @@ def test_criterion_02_scalar_fixed_point():
         config = SolverConfig(sigma2=scale * n_snapshots,
                               n_snapshots=n_snapshots,
                               max_iterations=5000, tolerance=1e-14,
-                              init=constant_init(1.0))
+                              init=1.0)
         state, _, _ = solve(np.ones((1, 1)), np.array([ybar]), config)
         target = max(0.0, mag ** 2 - scale)
         worst = max(worst, abs(float(state.prior_variances[0]) - target))
@@ -156,7 +155,7 @@ def test_criterion_04_noiseless_on_grid_recovery():
     grid = build_grid(180)
     dictionary = build_dictionary(grid, GEOMETRY)
     config = SolverConfig(sigma2=1e-3, n_snapshots=1, max_iterations=2000,
-                          tolerance=1e-10, init=constant_init(1.0))
+                          tolerance=1e-10, init=1.0)
     rng = np.random.default_rng(4)
     started = time.perf_counter()
     hits = 0
@@ -323,7 +322,7 @@ def test_criterion_11_noise_floor_tuning_shape():
     for sigma2 in (3e0, 8e2, 1e4):
         config = SolverConfig(sigma2=sigma2, n_snapshots=100,
                               max_iterations=500, tolerance=1e-6,
-                              init=constant_init(1.0))
+                              init=1.0)
         _, moments, _ = solve(dictionary, stat, config)
         spectra.append(spectrum(moments, grid).values)
     shared_max = max(float(values.max()) for values in spectra)

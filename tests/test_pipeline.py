@@ -1,6 +1,10 @@
 """Tests for the hierarchical coarse-cancel-refine pipeline."""
 
+import importlib.util
+import json
 import math
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +20,15 @@ from nuvdoa.arrays import (
 )
 from nuvdoa.baselines import RootDeficitError
 from nuvdoa.pipeline import (
+    TABLE_SCHEMA_VERSION,
     ErrorStdTable,
     PipelineSettings,
     Sigma2Table,
     cancel_interference,
     coarse_estimate,
+    dump_error_table,
+    dump_sigma2_table,
+    error_table_from_payload,
     estimate_effective_snr,
     estimate_multisource,
     load_default_error_table,
@@ -28,10 +36,12 @@ from nuvdoa.pipeline import (
     refine_source,
     resolve_epsilon,
     resolve_sigma2,
+    sigma2_table_from_payload,
 )
 from nuvdoa.solver import SolverSettings
 
 GEOM = UlaGeometry(16)
+MAKE_TABLES = Path(__file__).resolve().parents[1] / "scripts" / "make_tables.py"
 
 
 def _batch(doas_deg, n_snapshots, snr_db, seed, model="noncoherent"):
@@ -100,6 +110,56 @@ class TestSigma2Table:
         table = load_default_sigma2_table()
         assert load_default_sigma2_table() is table
         assert all(s > 0 for s in table.sigma2s)
+
+
+class TestCalibrationTables:
+    """The table file format, and the script that is its one producer."""
+
+    def test_error_table_round_trip(self, tmp_path):
+        table = ErrorStdTable(snrs_db=(0.0, 10.0, 20.0),
+                              epsilons_deg=(0.5, 0.05, 0.01))
+        path = tmp_path / "eps.json"
+        dump_error_table(table, path, entry_flags=(("low_confidence",), (), ()))
+        payload = json.loads(path.read_text())
+        assert error_table_from_payload(payload) == table
+        assert payload["schema_version"] == TABLE_SCHEMA_VERSION
+        assert payload["entries"][0]["flags"] == ["low_confidence"]
+        assert "flags" not in payload["entries"][1]
+
+    def test_sigma2_table_round_trip(self, tmp_path):
+        table = Sigma2Table(snrs_db=(0.0, 10.0), sigma2s=(100.0, 1.0))
+        path = tmp_path / "sigma2.json"
+        dump_sigma2_table(table, path)
+        payload = json.loads(path.read_text())
+        assert sigma2_table_from_payload(payload) == table
+        assert payload["schema_version"] == TABLE_SCHEMA_VERSION
+
+    def test_writers_reproduce_the_packaged_files(self, tmp_path):
+        data = resources.files("nuvdoa.data")
+        packaged = json.loads(data.joinpath("epsilon_table.json").read_text())
+        flags = tuple(tuple(e.get("flags", ())) for e in packaged["entries"])
+        dump_error_table(load_default_error_table(), tmp_path / "eps.json", flags)
+        dump_sigma2_table(load_default_sigma2_table(), tmp_path / "sigma2.json")
+        for name, path in (("epsilon_table.json", "eps.json"),
+                           ("sigma2_table.json", "sigma2.json")):
+            assert (tmp_path / path).read_text() == data.joinpath(name).read_text()
+
+    def test_make_tables_script_writes_both_tables(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location("make_tables", MAKE_TABLES)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "EPSILON_SNRS", (10.0,))
+        monkeypatch.setattr(script, "SIGMA2_SNRS", (10.0,))
+        monkeypatch.setattr(script, "SIGMA2_CANDIDATES", (1.0, 100.0))
+        script.main(["--epsilon-trials", "2", "--sigma2-trials", "1",
+                     "--out", str(tmp_path)])
+        eps_payload = json.loads((tmp_path / "epsilon_table.json").read_text())
+        sig_payload = json.loads((tmp_path / "sigma2_table.json").read_text())
+        assert error_table_from_payload(eps_payload).snrs_db == (10.0,)
+        assert eps_payload["entries"][0]["flags"] == ["low_confidence"]
+        table = sigma2_table_from_payload(sig_payload)
+        assert table.snrs_db == (10.0,)
+        assert table.sigma2s[0] in (1.0, 100.0)
 
 
 class TestEffectiveSnr:

@@ -1,4 +1,4 @@
-"""Report serialization tests: self-checking files, CSV exports, tables."""
+"""Report serialization tests: self-checking files and CSV exports."""
 
 import csv
 import json
@@ -10,16 +10,11 @@ import pytest
 
 from nuvdoa.arrays import build_grid
 from nuvdoa.harness import DoaSampling, ScenarioConfig, aggregate, run_cell
-from nuvdoa.pipeline import ErrorStdTable, Sigma2Table
 from nuvdoa.reports import (
     SUMMARY_COLUMNS,
     ReportIntegrityError,
-    dump_error_table,
     dump_report,
-    dump_sigma2_table,
-    load_error_table,
     load_report,
-    load_sigma2_table,
     runtime_ms_mean,
     write_spectrum_csv,
     write_summary_csv,
@@ -150,25 +145,6 @@ class TestSpectrumCsv:
         mags = np.array([float(r[1]) for r in rows[1:]])
         np.testing.assert_array_equal(angles, np.degrees(grid.values))
         np.testing.assert_array_equal(mags, values)
-
-
-class TestCalibrationTables:
-    def test_error_table_round_trip(self, tmp_path):
-        table = ErrorStdTable(snrs_db=(0.0, 10.0, 20.0),
-                              epsilons_deg=(0.5, 0.05, 0.01))
-        path = tmp_path / "eps.json"
-        dump_error_table(table, path, entry_flags=(("low_confidence",), (), ()))
-        assert load_error_table(path) == table
-        payload = json.loads(path.read_text())
-        assert payload["schema_version"] == 1
-        assert payload["entries"][0]["flags"] == ["low_confidence"]
-        assert "flags" not in payload["entries"][1]
-
-    def test_sigma2_table_round_trip(self, tmp_path):
-        table = Sigma2Table(snrs_db=(0.0, 10.0), sigma2s=(100.0, 1.0))
-        path = tmp_path / "sigma2.json"
-        dump_sigma2_table(table, path)
-        assert load_sigma2_table(path) == table
 
 
 class TestRuntimeMean:

@@ -27,7 +27,6 @@ from nuvdoa.solver import (
     SolverNumericalError,
     Spectrum,
     _is_ula_stack,
-    constant_init,
     em_step,
     posterior_moments,
     precision_matrix,
@@ -48,7 +47,7 @@ def random_problem(rng, n, m):
 
 def test_precision_zero_variances_is_scaled_identity():
     a = steering_matrix(np.radians([-10.0, 0.0, 25.0]), UlaGeometry(4))
-    cfg = SolverConfig(sigma2=2.0, n_snapshots=8, init=constant_init(1.0))
+    cfg = SolverConfig(sigma2=2.0, n_snapshots=8, init=1.0)
     state = NuvState(prior_variances=np.zeros(3))
     w = precision_matrix(a, state, cfg)
     npt.assert_allclose(w, (8 / 2.0) * np.eye(4), atol=1e-12)
@@ -57,7 +56,7 @@ def test_precision_zero_variances_is_scaled_identity():
 def test_precision_inverts_the_observation_covariance():
     rng = np.random.default_rng(0)
     a, pv, _ = random_problem(rng, 2, 3)
-    cfg = SolverConfig(sigma2=0.7, n_snapshots=5, init=constant_init(1.0))
+    cfg = SolverConfig(sigma2=0.7, n_snapshots=5, init=1.0)
     state = NuvState(prior_variances=pv)
     w = precision_matrix(a, state, cfg)
     cov = (a * pv) @ a.conj().T + cfg.noise_scale * np.eye(2)
@@ -65,14 +64,14 @@ def test_precision_inverts_the_observation_covariance():
 
 
 def test_precision_scalar_case():
-    cfg = SolverConfig(sigma2=3.0, n_snapshots=3, init=constant_init(1.0))
+    cfg = SolverConfig(sigma2=3.0, n_snapshots=3, init=1.0)
     state = NuvState(prior_variances=np.array([3.0]))
     w = precision_matrix(np.array([[1.0 + 0j]]), state, cfg)
     assert w[0, 0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_precision_raises_on_nonfinite_covariance():
-    cfg = SolverConfig(sigma2=1.0, n_snapshots=1, init=constant_init(1.0))
+    cfg = SolverConfig(sigma2=1.0, n_snapshots=1, init=1.0)
     state = NuvState(prior_variances=np.full(3, 1e308))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SolverNumericalError):
@@ -82,7 +81,7 @@ def test_precision_raises_on_nonfinite_covariance():
 def test_moments_zero_variances_annihilate():
     rng = np.random.default_rng(1)
     a, _, ybar = random_problem(rng, 3, 5)
-    cfg = SolverConfig(sigma2=1.0, n_snapshots=4, init=constant_init(1.0))
+    cfg = SolverConfig(sigma2=1.0, n_snapshots=4, init=1.0)
     state = NuvState(prior_variances=np.zeros(5))
     w = precision_matrix(a, state, cfg)
     mom = posterior_moments(a, state, w, ybar)
@@ -92,7 +91,7 @@ def test_moments_zero_variances_annihilate():
 
 def test_moments_scalar_case():
     # a=1, pv=3, noise scale 1, ybar=2: mean = 3*(1/4)*2, var = 3 - 9/4.
-    cfg = SolverConfig(sigma2=4.0, n_snapshots=4, init=constant_init(1.0))
+    cfg = SolverConfig(sigma2=4.0, n_snapshots=4, init=1.0)
     state = NuvState(prior_variances=np.array([3.0]))
     a = np.array([[1.0 + 0j]])
     w = precision_matrix(a, state, cfg)
@@ -105,7 +104,7 @@ def test_moments_match_dense_posterior_covariance():
     """The marginal variance must equal the diagonal of the full posterior."""
     rng = np.random.default_rng(2)
     a, pv, ybar = random_problem(rng, 4, 8)
-    cfg = SolverConfig(sigma2=0.5, n_snapshots=10, init=constant_init(1.0))
+    cfg = SolverConfig(sigma2=0.5, n_snapshots=10, init=1.0)
     state = NuvState(prior_variances=pv)
     w = precision_matrix(a, state, cfg)
     mom = posterior_moments(a, state, w, ybar)
@@ -124,7 +123,7 @@ def test_moment_variance_never_exceeds_prior_variance():
         a, pv, ybar = random_problem(rng, 3, 6)
         cfg = SolverConfig(sigma2=float(rng.uniform(0.05, 2.0)),
                            n_snapshots=int(rng.integers(1, 50)),
-                           init=constant_init(1.0))
+                           init=1.0)
         state = NuvState(prior_variances=pv)
         w = precision_matrix(a, state, cfg)
         mom = posterior_moments(a, state, w, ybar)
@@ -135,7 +134,7 @@ def test_moment_variance_never_exceeds_prior_variance():
 def test_em_step_zero_state_is_fixed_point():
     rng = np.random.default_rng(4)
     a, _, ybar = random_problem(rng, 3, 4)
-    cfg = SolverConfig(sigma2=1.0, n_snapshots=2, init=constant_init(1.0))
+    cfg = SolverConfig(sigma2=1.0, n_snapshots=2, init=1.0)
     state = NuvState(prior_variances=np.zeros(4))
     new = em_step(a, state, ybar, cfg)
     npt.assert_array_equal(new.prior_variances, np.zeros(4))
@@ -146,7 +145,7 @@ def test_em_scalar_recursion_converges_to_analytic_fixed_point():
     # For a unit-modulus single atom the fixed point is |ybar|^2 - sigma2/L.
     a = np.array([[1.0 + 0j]])
     ybar = np.array([2.0 + 0j])
-    cfg = SolverConfig(sigma2=1.0, n_snapshots=1, init=constant_init(1.0),
+    cfg = SolverConfig(sigma2=1.0, n_snapshots=1, init=1.0,
                        max_iterations=600)
     state = NuvState(prior_variances=np.array([0.7]))
     for _ in range(600):
@@ -157,7 +156,7 @@ def test_em_scalar_recursion_converges_to_analytic_fixed_point():
 def test_em_scalar_noise_dominated_decreases_toward_zero():
     a = np.array([[1.0 + 0j]])
     ybar = np.array([0.5 + 0j])
-    cfg = SolverConfig(sigma2=1.0, n_snapshots=1, init=constant_init(1.0))
+    cfg = SolverConfig(sigma2=1.0, n_snapshots=1, init=1.0)
     state = NuvState(prior_variances=np.array([1.0]))
     previous = 1.0
     for _ in range(50):
@@ -176,7 +175,7 @@ def test_scalar_solve_lands_on_analytic_fixed_point(ybar, target):
     floor and to zero at rate ``|ybar|^2 / s`` below it.
     """
     cfg = SolverConfig(sigma2=1.0, n_snapshots=1, max_iterations=500,
-                       tolerance=1e-14, init=constant_init(1.0))
+                       tolerance=1e-14, init=1.0)
     state, _, trace = solve(np.ones((1, 1)), np.array([ybar + 0j]), cfg)
     assert trace.converged
     assert abs(state.prior_variances[0] - target) <= 1e-12
@@ -184,7 +183,7 @@ def test_scalar_solve_lands_on_analytic_fixed_point(ybar, target):
 
 def test_solve_zero_statistic_collapses():
     d = build_dictionary(build_grid(90), UlaGeometry(8))
-    cfg = SolverConfig(sigma2=1.0, n_snapshots=10, init=constant_init(1.0))
+    cfg = SolverConfig(sigma2=1.0, n_snapshots=10, init=1.0)
     state, mom, trace = solve(d, np.zeros(8, dtype=complex), cfg)
     npt.assert_array_equal(np.abs(mom.mean), np.zeros(90))
     assert state.prior_variances.max() < 1e-3
@@ -195,7 +194,7 @@ def test_solve_noiseless_on_grid_source_argmax():
     geom = UlaGeometry(16)
     grid = build_grid(180)
     d = build_dictionary(grid, geom)
-    cfg = SolverConfig(sigma2=1e-4, n_snapshots=1, init=constant_init(1.0))
+    cfg = SolverConfig(sigma2=1e-4, n_snapshots=1, init=1.0)
     for seed in range(5):
         rng = np.random.default_rng(seed)
         idx = int(rng.integers(0, 180))
@@ -210,7 +209,7 @@ def test_solve_depends_on_noise_scale_only_through_ratio():
     rng = np.random.default_rng(7)
     a, _, ybar = random_problem(rng, 4, 12)
     base = SolverConfig(sigma2=0.8, n_snapshots=5, max_iterations=40,
-                        init=constant_init(1.0))
+                        init=1.0)
     doubled = replace(base, sigma2=1.6, n_snapshots=10)
     _, _, trace_a = solve(a, ybar, base, keep_history=True)
     _, _, trace_b = solve(a, ybar, doubled, keep_history=True)
@@ -266,7 +265,7 @@ def test_solve_history_follows_hand_iterated_sweeps():
 def test_solve_raises_on_nonfinite_dictionary():
     a = np.ones((2, 3), dtype=complex)
     a[1, 2] = np.inf
-    cfg = SolverConfig(sigma2=1.0, n_snapshots=1, init=constant_init(1.0))
+    cfg = SolverConfig(sigma2=1.0, n_snapshots=1, init=1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SolverNumericalError) as info:
             solve(a, np.ones(2, dtype=complex), cfg)
@@ -276,7 +275,7 @@ def test_solve_raises_on_nonfinite_dictionary():
 def test_solve_raises_on_failed_factorization():
     # Two identical sensor rows and a noise floor lost to rounding leave a
     # singular covariance in floating point.
-    cfg = SolverConfig(sigma2=1e-30, n_snapshots=1, init=constant_init(1.0))
+    cfg = SolverConfig(sigma2=1e-30, n_snapshots=1, init=1.0)
     with pytest.raises(SolverNumericalError) as info:
         solve(np.ones((2, 1)), np.ones(2), cfg)
     assert info.value.iteration == 0
@@ -289,7 +288,7 @@ def test_solve_reports_nonconvergence_honestly():
                     snr_db=0.0)
     stat = snapshot_mean(simulate_snapshots(scen, seed=0))
     cfg = SolverConfig(sigma2=0.5, n_snapshots=20, max_iterations=2,
-                       init=constant_init(1.0))
+                       init=1.0)
     _, _, trace = solve(d, stat, cfg)
     assert trace.iterations == 2
     assert not trace.converged
@@ -334,7 +333,7 @@ def test_stack_starts_live_columns_at_init_and_padding_at_zero():
                     snr_db=5.0)
     ybar = snapshot_mean(simulate_snapshots(scen, seed=5)).mean
     cfg = SolverConfig(sigma2=0.5, n_snapshots=10, max_iterations=200,
-                       init=constant_init(2.0))
+                       init=2.0)
     final_pv, mean, variance, excursion, traces = solve_stack(
         matrices, np.broadcast_to(ybar, (3, 8)), cfg, keep_history=True)
     for i, (d, m) in enumerate(zip(dictionaries, widths)):
@@ -484,7 +483,7 @@ def test_steering_solve_matches_reference_moments(sigma2):
     scen = Scenario(geometry=geom, true_doas=(math.radians(10.3),),
                     n_snapshots=100, snr_db=snr_db)
     stat = snapshot_mean(simulate_snapshots(scen, seed=1))
-    cfg = SolverConfig(sigma2=sigma2, n_snapshots=100, init=constant_init(1.0))
+    cfg = SolverConfig(sigma2=sigma2, n_snapshots=100, init=1.0)
     state, moments, _ = solve(d, stat, cfg)
     _check_against_references(d.matrix, stat.mean, state.prior_variances,
                               moments.mean, moments.variance, cfg)
@@ -504,7 +503,7 @@ def test_padded_edge_band_stack_matches_reference_moments():
     scen = Scenario(geometry=geom, true_doas=(theta,), n_snapshots=40,
                     snr_db=10.0)
     ybar = snapshot_mean(simulate_snapshots(scen, seed=4)).mean
-    cfg = SolverConfig(sigma2=0.7, n_snapshots=40, init=constant_init(1.0))
+    cfg = SolverConfig(sigma2=0.7, n_snapshots=40, init=1.0)
     final_pv, mean, variance, _, _ = solve_stack(
         matrices, np.broadcast_to(ybar, (len(widths), 16)), cfg)
     for i, m in enumerate(widths):
@@ -526,7 +525,7 @@ def test_noiseless_long_solve_matches_primal_moments():
     grid = build_grid(180)
     d = build_dictionary(grid, UlaGeometry(16))
     cfg = SolverConfig(sigma2=1e-3, n_snapshots=1, max_iterations=2000,
-                       tolerance=1e-10, init=constant_init(1.0))
+                       tolerance=1e-10, init=1.0)
     rng = np.random.default_rng(4)
     for _ in range(4):
         index = int(rng.integers(0, 180))
@@ -555,7 +554,7 @@ def test_noiseless_long_solve_off_steering_matches_primal_moments():
     matrix = build_dictionary(build_grid(180), UlaGeometry(16)).matrix[::-1]
     assert not _is_ula_stack(matrix[None])
     cfg = SolverConfig(sigma2=1e-3, n_snapshots=1, max_iterations=2000,
-                       tolerance=1e-10, init=constant_init(1.0))
+                       tolerance=1e-10, init=1.0)
     rng = np.random.default_rng(4)
     for _ in range(4):
         index = int(rng.integers(0, 180))
@@ -600,7 +599,7 @@ def test_ula_detection_rejects_other_dictionaries(kind):
     rng = np.random.default_rng(10)
     ybar = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     cfg = SolverConfig(sigma2=0.3, n_snapshots=10, max_iterations=100,
-                       init=constant_init(1.0))
+                       init=1.0)
     state, moments, _ = solve(matrix, ybar, cfg)
     _check_against_references(matrix, ybar, state.prior_variances,
                               moments.mean, moments.variance, cfg)
@@ -663,8 +662,11 @@ def test_config_validation():
         SolverConfig(sigma2=math.nan, n_snapshots=1)
     with pytest.raises(ValueError, match="tolerance must be positive"):
         SolverConfig(sigma2=1.0, n_snapshots=1, tolerance=math.nan)
-    with pytest.raises(ValueError, match="init value must be positive"):
-        constant_init(math.nan)
+    with pytest.raises(ValueError, match="sigma2 must be positive and finite"):
+        SolverConfig(sigma2=math.inf, n_snapshots=1)
+    for init in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="init must be positive and finite"):
+            SolverConfig(sigma2=1.0, n_snapshots=1, init=init)
 
 
 def test_sweep_cost_script_runs():

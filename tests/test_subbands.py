@@ -14,7 +14,6 @@ from nuvdoa.arrays import (
 from nuvdoa.solver import (
     SolverConfig,
     SolverNumericalError,
-    constant_init,
     select_peaks,
     solve,
 )
@@ -120,7 +119,7 @@ class TestSolveSubband:
             n_snapshots=1,
             max_iterations=2000,
             tolerance=1e-6,
-            init=constant_init(1.0),
+            init=1.0,
         )
         value = _point_scan(theta, stat, cfg, geom)
         assert abs(value / source_mag - 1.0) < 0.01
@@ -136,7 +135,7 @@ class TestSolveSubband:
             n_snapshots=1,
             max_iterations=2000,
             tolerance=1e-6,
-            init=constant_init(1.0),
+            init=1.0,
         )
         on = _point_scan(theta, stat, cfg, geom)
         far = _point_scan(theta + np.radians(5.0), stat, cfg, geom)
@@ -148,7 +147,7 @@ class TestSolveSubband:
             mean=np.ones(8, dtype=complex), n_snapshots=1
         )
         cfg = SolverConfig(
-            sigma2=1.0, n_snapshots=1, max_iterations=5, init=constant_init(1e308)
+            sigma2=1.0, n_snapshots=1, max_iterations=5, init=1e308
         )
         with np.errstate(all="ignore"):
             with pytest.raises(SolverNumericalError,
@@ -170,7 +169,7 @@ class TestSuperresScan:
         geom = UlaGeometry(16)
         stat = _single_source_stat(theta, n_snapshots=50, snr_db=10.0, seed=7)
         cfg = SolverConfig(
-            sigma2=0.5, n_snapshots=50, max_iterations=80, init=constant_init(1.0)
+            sigma2=0.5, n_snapshots=50, max_iterations=80, init=1.0
         )
         plan = plan_subbands(theta, theta, FINE, ALPHA)
         spec = superres_scan(plan, stat, cfg, geom)
@@ -184,7 +183,7 @@ class TestSuperresScan:
         geom = UlaGeometry(16)
         stat = _single_source_stat(theta, n_snapshots=100, snr_db=5.0, seed=11)
         cfg = SolverConfig(
-            sigma2=1.0, n_snapshots=100, max_iterations=60, init=constant_init(1.0)
+            sigma2=1.0, n_snapshots=100, max_iterations=60, init=1.0
         )
         plan = plan_subbands(theta, theta + np.radians(0.11), FINE, ALPHA)
         assert len(plan.bands) == 12
@@ -207,7 +206,7 @@ class TestSuperresScan:
         geom = UlaGeometry(16)
         stat = _single_source_stat(theta, n_snapshots=100, snr_db=8.0, seed=2)
         cfg = SolverConfig(
-            sigma2=0.7, n_snapshots=100, max_iterations=40, init=constant_init(1.0)
+            sigma2=0.7, n_snapshots=100, max_iterations=40, init=1.0
         )
         plan = plan_subbands(
             theta - np.radians(0.03), theta + np.radians(0.03), FINE, ALPHA
@@ -225,7 +224,7 @@ class TestSuperresScan:
         plan = plan_subbands(theta - 5 * FINE, theta + 5 * FINE, FINE, ALPHA)
         truth_idx = int(np.argmin(np.abs(plan.scan_grid.values - theta)))
         cfg = SolverConfig(
-            sigma2=1e-2, n_snapshots=1, max_iterations=60, init=constant_init(1.0)
+            sigma2=1e-2, n_snapshots=1, max_iterations=60, init=1.0
         )
         for seed in range(100):
             stat = _single_source_stat(theta, n_snapshots=1, snr_db=np.inf, seed=seed)
@@ -243,7 +242,7 @@ class TestSuperresScan:
             n_snapshots=100,
             max_iterations=2000,
             tolerance=1e-6,
-            init=constant_init(1.0),
+            init=1.0,
         )
         ratios = []
         for seed in range(50):
@@ -261,7 +260,7 @@ class TestSuperresScan:
         geom = UlaGeometry(16)
         stat = _single_source_stat(theta, n_snapshots=40, snr_db=10.0, seed=4)
         cfg = SolverConfig(
-            sigma2=0.7, n_snapshots=40, max_iterations=50, init=constant_init(1.0)
+            sigma2=0.7, n_snapshots=40, max_iterations=50, init=1.0
         )
         plan = plan_subbands(theta - 3 * FINE, theta + 3 * FINE, FINE, ALPHA)
         assert len({b.grid.values.size for b in plan.bands}) > 1
@@ -275,7 +274,7 @@ class TestSuperresScan:
         geom = UlaGeometry(8)
         stat = SufficientStatistic(mean=np.ones(8, dtype=complex), n_snapshots=1)
         cfg = SolverConfig(
-            sigma2=1.0, n_snapshots=1, max_iterations=5, init=constant_init(1e308)
+            sigma2=1.0, n_snapshots=1, max_iterations=5, init=1e308
         )
         plan = plan_subbands(np.radians(4.0), np.radians(4.02), FINE, ALPHA)
         with np.errstate(all="ignore"):
@@ -289,7 +288,7 @@ def test_select_peaks_on_stitched_spectrum():
     stat = _single_source_stat(theta, n_snapshots=1, snr_db=np.inf, seed=0)
     plan = plan_subbands(theta - 2 * FINE, theta + 2 * FINE, FINE, ALPHA)
     cfg = SolverConfig(
-        sigma2=1e-2, n_snapshots=1, max_iterations=60, init=constant_init(1.0)
+        sigma2=1e-2, n_snapshots=1, max_iterations=60, init=1.0
     )
     spec = superres_scan(plan, stat, cfg, geom)
     picked = select_peaks(spec, 1)
