@@ -10,7 +10,8 @@ package's solves, all on 16 sensors:
 - ``16x1801``: the sparse coarse solve below the SNR gate;
 - ``16x180``: the 2-degree grid of the solver tests and criterion 04;
 - ``22x16x101`` and ``12x16x101``: the sub-band stacks of the one- and
-  two-source scans (0.01-degree step, 0.5-degree half width).
+  two-source scans (0.01-degree step, 0.5-degree half width), built by
+  ``subbands.band_stack`` as ``subbands.superres_scan`` builds them.
 
 Each stack is timed at the prior variances reached after ``--warmup``
 sweeps on a seeded one-source statistic (K=1, L=100, 10 dB, sigma2 = 1), so
@@ -42,7 +43,7 @@ from nuvdoa.arrays import (  # noqa: E402
     steering_matrix,
 )
 from nuvdoa.solver import _is_ula_stack, _mackay_update, _moments  # noqa: E402
-from nuvdoa.subbands import plan_subbands  # noqa: E402
+from nuvdoa.subbands import band_stack, plan_subbands  # noqa: E402
 
 N_SENSORS = 16
 SOURCE_DEG = 10.3
@@ -56,18 +57,13 @@ def flat_stack(cells: int):
     return steering_matrix(grid.values, UlaGeometry(N_SENSORS))[None]
 
 
-def band_stack(bands: int):
-    """The zero-padded dictionaries of ``bands`` scan points around the source."""
+def scan_stack(bands: int):
+    """The band stack a scan of ``bands`` points around the source solves."""
     lo = math.radians(SOURCE_DEG - FINE_STEP_DEG * (bands // 2))
     hi = lo + math.radians(FINE_STEP_DEG * (bands - 1))
     plan = plan_subbands(lo, hi, math.radians(FINE_STEP_DEG),
                          math.radians(HALF_WIDTH_DEG))
-    width = max(len(band.grid) for band in plan.bands)
-    stack = np.zeros((len(plan.bands), N_SENSORS, width), dtype=complex)
-    for i, band in enumerate(plan.bands):
-        stack[i, :, :len(band.grid)] = steering_matrix(
-            band.grid.values, UlaGeometry(N_SENSORS))
-    return stack
+    return band_stack(plan, UlaGeometry(N_SENSORS))
 
 
 def sweep_us(matrices, args) -> tuple:
@@ -109,8 +105,8 @@ def main() -> None:
     if min(args.sweeps, args.rounds) < 1 or args.warmup < 0:
         parser.error("--sweeps and --rounds must be >= 1, --warmup >= 0")
     shapes = (("16x3000", flat_stack(3000)), ("16x1801", flat_stack(1801)),
-              ("16x180", flat_stack(180)), ("22x16x101", band_stack(22)),
-              ("12x16x101", band_stack(12)))
+              ("16x180", flat_stack(180)), ("22x16x101", scan_stack(22)),
+              ("12x16x101", scan_stack(12)))
     print(f"{'shape':<10} {'us/sweep':>9} {'fastest':>9}")
     for name, matrices in shapes:
         median, fastest = sweep_us(matrices, args)

@@ -186,45 +186,22 @@ def build_band_grid(lo: float, hi: float, step: float) -> AngleGrid:
     """Inclusive uniform grid from ``lo`` to ``hi``, clipped to the domain.
 
     Endpoints outside [-pi/2, pi/2) are pulled back to it; grid points that
-    would land at or above +pi/2 are dropped.  Raises ``ValueError`` when no
-    grid point survives clipping.
+    would land at or above +pi/2 are dropped.  Raises ``ValueError`` when an
+    endpoint is not finite or the band lies outside the domain.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("band bounds must be finite")
     if step <= 0:
         raise ValueError("step must be positive")
     if lo > hi:
         raise ValueError("lo must not exceed hi")
+    if lo >= HALF_PI or hi < -HALF_PI:
+        raise ValueError("band lies entirely outside the azimuth domain")
     lo_c = max(lo, -HALF_PI)
     hi_c = min(hi, HALF_PI)
-    if lo_c >= HALF_PI:
-        raise ValueError("band lies entirely outside the azimuth domain")
     count = int(math.floor((hi_c - lo_c) / step + _GRID_EPS)) + 1
     values = lo_c + np.arange(count) * step
-    values = values[values < HALF_PI]
-    if values.size == 0:
-        raise ValueError("band grid is empty after clipping")
-    return AngleGrid(values=values, step=step)
-
-
-def build_centered_grid(center: float, half_width: float, step: float) -> AngleGrid:
-    """Uniform grid holding ``center`` exactly, extended ``half_width`` each way.
-
-    The grid is generated as ``center + j * step`` for signed integers ``j``,
-    which keeps the center angle on the grid to the last bit; the reach on
-    either side is truncated at the domain boundary.
-    """
-    _check_azimuth(center)
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if half_width < 0:
-        raise ValueError("half_width must be nonnegative")
-    n_span = int(math.floor(half_width / step + _GRID_EPS))
-    n_down = min(n_span, int(math.floor((center + HALF_PI) / step + _GRID_EPS)))
-    # Largest j with center + j*step strictly below +pi/2.
-    room_up = (HALF_PI - center) / step
-    n_up = min(n_span, max(0, int(math.ceil(room_up - _GRID_EPS)) - 1))
-    values = center + np.arange(-n_down, n_up + 1) * step
-    values = values[(values >= -HALF_PI) & (values < HALF_PI)]
-    return AngleGrid(values=values, step=step)
+    return AngleGrid(values=values[values < HALF_PI], step=step)
 
 
 def build_dictionary(grid: AngleGrid, geometry: UlaGeometry) -> SteeringDictionary:

@@ -183,10 +183,13 @@ def _spectrum_for(config: ScenarioConfig, method: str, args) -> Spectrum:
         _, method_spectrum = METHOD_TABLE[method]
         return method_spectrum(batch, config, config.snr_db)
     solver_cfg = config.solver_config(resolve_sigma2(config.solver, config.snr_db))
-    plan = plan_subbands(math.radians(args.scan_lo_deg),
-                         math.radians(args.scan_hi_deg),
-                         math.radians(config.pipeline.fine_step_deg),
-                         math.radians(config.pipeline.half_width_deg))
+    try:
+        plan = plan_subbands(math.radians(args.scan_lo_deg),
+                             math.radians(args.scan_hi_deg),
+                             math.radians(config.pipeline.fine_step_deg),
+                             math.radians(config.pipeline.half_width_deg))
+    except ValueError as exc:
+        raise ConfigError(f"superres scan window: {exc}") from None
     return superres_scan(plan, snapshot_mean(batch), solver_cfg,
                          UlaGeometry(config.n_sensors))
 

@@ -78,6 +78,8 @@ class DoaSampling:
                 raise ValueError("fixed sampling needs at least one angle")
             object.__setattr__(self, "angles_deg",
                                tuple(float(a) for a in self.angles_deg))
+            if not all(-90.0 <= a < 90.0 for a in self.angles_deg):
+                raise ValueError("fixed angles must lie in [-90, 90) deg")
         else:
             for name in ("lo_deg", "hi_deg"):
                 if not math.isfinite(getattr(self, name)):
@@ -86,6 +88,8 @@ class DoaSampling:
                 raise ValueError("need lo_deg < hi_deg")
             if self.kind == "uniform_abs_range" and self.lo_deg < 0:
                 raise ValueError("abs-range bounds must be nonnegative")
+            if self.lo_deg < -90.0 or self.hi_deg > 90.0:
+                raise ValueError("sampling range must lie within [-90, 90] deg")
 
     def check(self, k: int) -> None:
         """Raise ValueError unless some draw of ``k`` directions exists."""

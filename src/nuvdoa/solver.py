@@ -16,14 +16,14 @@ zero variance, which is what produces a sparse angular spectrum.
 
 All computations run on the snapshot mean only; the snapshot count enters
 through the noise scale ``sigma2 / n_snapshots``.  The loop sets its own
-start: every atom at the prior variance ``init``, and every all-zero
-(padding) column at zero, where it stays.
+start: every atom at the prior variance ``init``, and every all-zero column
+(a sub-band's lattice point beyond +-pi/2) at zero, where it stays.
 
 Every sweep runs one flow on a stack of problems: build the sensor-sized
 Gram matrix ``G = A diag(pv) A^H + (sigma2/L) I``, factor it, and read the
 posterior mean and the gains ``a^H G^-1 a`` off its inverse.  Only two
 steps depend on the dictionary.  When every column is a half-wavelength
-ULA steering vector ``a_d = z^d`` with ``|z| = 1`` (zero padding columns
+ULA steering vector ``a_d = z^d`` with ``|z| = 1`` (zero columns
 allowed), ``G`` is Hermitian Toeplitz with first column ``r = A pv`` and
 each gain is a trigonometric polynomial in the diagonal sums of ``G^-1``
 (the identity behind root-MUSIC), so those two steps cost ``O(n m)``
@@ -249,7 +249,7 @@ def _is_ula_stack(matrices: np.ndarray) -> bool:
 
     Such a column is ``a_d = z^d`` with ``|z| = 1``: row 0 equals 1 and row
     ``d`` equals row 1 times row ``d - 1``, to a rounding slack that grows
-    with the sensor count.  All-zero (padding) columns are allowed.  A
+    with the sensor count.  All-zero columns are allowed.  A
     one-sensor stack gains nothing from the Toeplitz form and is refused.
     """
     n = matrices.shape[1]
@@ -357,9 +357,9 @@ def _moments(transposed: np.ndarray, conj_means: np.ndarray, steering: bool,
         lower, sums = _toeplitz_tables(n)
         # r = A pv, the first column of A diag(pv) A^H, is row 0 of a real
         # (b, 2, m) @ (b, m, 2n) product.  A one-row product (BLAS gemv)
-        # rounds differently once zero padding lengthens m; this gemm sums
-        # over m in the same order whatever the padding, so a padded band
-        # matches the band solved alone.
+        # rounds differently once zero columns lengthen m; this gemm sums
+        # over m in the same order whatever the zero columns, so a band
+        # with zero columns matches the band solved alone.
         weights = np.zeros((count, 2, m))
         weights[:, 0] = pv
         first = (weights @ transposed.view(float))[:, 0].view(complex)
@@ -406,8 +406,8 @@ def _mackay_update(pv: np.ndarray, mean: np.ndarray, gain: np.ndarray,
     ``|mean|^2 / (pv gain) = pv |a^H Q ybar|^2 / gain``, read off the sweep's
     own mean and gain rather than the clamped variance.  ``gain > 0`` for a
     nonzero column, since ``Q`` is positive definite; an atom at zero
-    variance (padding, or one that underflowed) stays at zero.  A live atom
-    whose computed gain is not positive (the Toeplitz sum's absolute
+    variance (a zero column, or one that underflowed) stays at zero.  A live
+    atom whose computed gain is not positive (the Toeplitz sum's absolute
     rounding, at noise floors far below ``eps n^2 sum(pv)``) raises
     :class:`SolverNumericalError` naming its problems.
     """
@@ -429,17 +429,15 @@ def solve_stack(matrices, means, config: SolverConfig,
     by :func:`_mackay_update`.  ``matrices`` is ``(b, n, m)`` and ``means``
     ``(b, n)``; a ``(b, n, m)`` view of a C-contiguous ``(b, m, n)`` array
     is used without a copy.  Every column with a nonzero entry starts at
-    the prior variance ``config.init`` and every all-zero column at
-    0.  A zero column at zero variance stays there and never couples into
-    its problem, so dictionaries of different widths can share a stack by
-    zero padding; an all-zero column of a dictionary itself is treated the
-    same way (steering columns have unit modulus entries, so no built
-    dictionary has one).  Each problem stops
-    when the max-norm change of its variances drops below
+    the prior variance ``config.init`` and every all-zero column at 0,
+    where it stays without coupling into its problem; the sub-band scan's
+    zero columns mark lattice points beyond +-pi/2 (steering columns have
+    unit-modulus entries, so no steering dictionary has one).  Each problem
+    stops when the max-norm change of its variances drops below
     ``tolerance * max(1, ||pv||_inf)`` or at ``max_iterations``, then leaves
     the active stack; every problem gets one final moment evaluation at its
     stopped variances.  A problem's iterates do not depend on the other
-    problems of the stack; zero padding changes them only by rounding.
+    problems of the stack; zero columns change them at most by rounding.
 
     Returns ``(pv, mean, variance, clamp_excursion, traces)``: the final
     variances and the moments at them, one row per problem, and one

@@ -9,7 +9,6 @@ from nuvdoa.arrays import (
     Scenario,
     UlaGeometry,
     build_band_grid,
-    build_centered_grid,
     build_dictionary,
     build_grid,
     sample_covariance,
@@ -110,19 +109,17 @@ def test_band_grid_empty_after_clipping_raises():
     with pytest.raises(ValueError):
         build_band_grid(math.radians(90.0), math.radians(91.0),
                         math.radians(0.1))
+    with pytest.raises(ValueError, match="entirely outside"):
+        build_band_grid(math.radians(-92.0), math.radians(-90.05),
+                        math.radians(0.1))
 
 
-def test_centered_grid_holds_center_exactly():
-    center = 0.1234567
-    grid = build_centered_grid(center, math.radians(0.5), math.radians(0.01))
-    assert center in grid.values
-
-
-def test_centered_grid_truncates_at_boundary():
-    center = math.radians(89.9)
-    grid = build_centered_grid(center, math.radians(0.5), math.radians(0.01))
-    assert grid.values[-1] < math.pi / 2
-    assert center in grid.values
+@pytest.mark.parametrize("lo, hi", [
+    (float("nan"), 0.1), (-math.inf, 0.1), (0.0, math.inf),
+])
+def test_band_grid_rejects_non_finite_bounds(lo, hi):
+    with pytest.raises(ValueError, match="band bounds must be finite"):
+        build_band_grid(lo, hi, math.radians(0.1))
 
 
 def test_dictionary_single_broadside_column():

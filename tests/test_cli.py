@@ -115,6 +115,13 @@ class TestParseConfig:
         })
         assert config.doa_sampling.min_separation_deg == 15.0
 
+    def test_sampling_may_reach_the_domain_edge(self):
+        for sampling in ({"kind": "fixed", "angles_deg": [-90.0]},
+                         {"lo_deg": -90.0, "hi_deg": 90.0},
+                         {"kind": "uniform_abs_range", "lo_deg": 0.0,
+                          "hi_deg": 90.0}):
+            parse_config({"doa_sampling": sampling})
+
     def test_timing_needs_a_yaml_boolean(self):
         assert parse_config({"timing": True}).timing is True
         with pytest.raises(ConfigError, match="timing must be true or false"):
@@ -345,11 +352,38 @@ class TestExitCodes:
          "snr_sweep items must be greater than -inf"),
         ({"doa_sampling": {"lo_deg": float("-inf")}}, "lo_deg must be finite"),
         ({"doa_sampling": {"hi_deg": float("inf")}}, "hi_deg must be finite"),
+        ({"doa_sampling": {"kind": "fixed", "angles_deg": [95.0]}},
+         "fixed angles must lie in [-90, 90) deg"),
+        ({"doa_sampling": {"kind": "fixed", "angles_deg": [90.0]}},
+         "fixed angles must lie in [-90, 90) deg"),
+        ({"doa_sampling": {"kind": "fixed", "angles_deg": [float("-inf")]}},
+         "fixed angles must lie in [-90, 90) deg"),
+        ({"doa_sampling": {"lo_deg": -100.0, "hi_deg": 100.0}},
+         "sampling range must lie within [-90, 90] deg"),
+        ({"doa_sampling": {"lo_deg": -90.5}},
+         "sampling range must lie within [-90, 90] deg"),
+        ({"doa_sampling": {"kind": "uniform_abs_range", "lo_deg": 5.0,
+                           "hi_deg": 90.5}},
+         "sampling range must lie within [-90, 90] deg"),
     ])
     def test_invalid_settings_are_two(self, tmp_path, capsys, overrides, message):
         path = _write_config(tmp_path, overrides)
         assert main(["estimate", "--config", str(path)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lo, hi, message", [
+        ("5", "1", "lo must not exceed hi"),
+        ("95", "99", "band lies entirely outside the azimuth domain"),
+        ("nan", "1", "band bounds must be finite"),
+    ])
+    def test_bad_superres_scan_window_is_two(self, tmp_path, capsys, lo, hi,
+                                             message):
+        path = _write_config(tmp_path)
+        assert main(["spectrum", "--config", str(path), "--method", "superres",
+                     "--out", str(tmp_path / "sr.csv"), "--scan-lo-deg", lo,
+                     "--scan-hi-deg", hi]) == 2
+        assert (f"config error: superres scan window: {message}"
+                in capsys.readouterr().err)
 
     def test_missing_config_is_two(self, tmp_path):
         assert main(["estimate", "--config", str(tmp_path / "nope.yaml")]) == 2

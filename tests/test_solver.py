@@ -1,6 +1,6 @@
+import importlib.util
 import math
 import pathlib
-import subprocess
 import sys
 from dataclasses import replace
 
@@ -35,7 +35,7 @@ from nuvdoa.solver import (
     solve_stack,
     spectrum,
 )
-from nuvdoa.subbands import plan_subbands
+from nuvdoa.subbands import band_stack, plan_subbands
 
 
 def random_problem(rng, n, m):
@@ -490,26 +490,25 @@ def test_steering_solve_matches_reference_moments(sigma2):
 
 
 def test_padded_edge_band_stack_matches_reference_moments():
-    """Bands near +90 deg clip to different widths and share a padded stack."""
+    """Bands near +90 deg run past the domain, where their columns are zero."""
     geom = UlaGeometry(16)
     theta, fine = math.radians(89.6), math.radians(0.01)
     plan = plan_subbands(theta - 3 * fine, theta + 3 * fine, fine,
                          math.radians(0.5))
-    widths = [len(band.grid) for band in plan.bands]
-    assert len(set(widths)) > 1
-    matrices = np.zeros((len(widths), 16, max(widths)), dtype=complex)
-    for i, band in enumerate(plan.bands):
-        matrices[i, :, :widths[i]] = steering_matrix(band.grid.values, geom)
+    matrices = band_stack(plan, geom)
+    live = matrices.any(axis=1)
+    assert len(set(live.sum(axis=1))) > 1
     scen = Scenario(geometry=geom, true_doas=(theta,), n_snapshots=40,
                     snr_db=10.0)
     ybar = snapshot_mean(simulate_snapshots(scen, seed=4)).mean
     cfg = SolverConfig(sigma2=0.7, n_snapshots=40, init=1.0)
     final_pv, mean, variance, _, _ = solve_stack(
-        matrices, np.broadcast_to(ybar, (len(widths), 16)), cfg)
-    for i, m in enumerate(widths):
-        assert not mean[i, m:].any() and not variance[i, m:].any()
-        _check_against_references(matrices[i, :, :m], ybar, final_pv[i, :m],
-                                  mean[i, :m], variance[i, :m], cfg)
+        matrices, np.broadcast_to(ybar, (len(live), 16)), cfg)
+    for i, cols in enumerate(live):
+        assert not mean[i, ~cols].any() and not variance[i, ~cols].any()
+        _check_against_references(matrices[i][:, cols], ybar,
+                                  final_pv[i, cols], mean[i, cols],
+                                  variance[i, cols], cfg)
 
 
 def test_noiseless_long_solve_matches_primal_moments():
@@ -669,13 +668,14 @@ def test_config_validation():
             SolverConfig(sigma2=1.0, n_snapshots=1, init=init)
 
 
-def test_sweep_cost_script_runs():
+def test_sweep_cost_script_runs(monkeypatch, capsys):
     """``scripts/sweep_cost.py`` drives the private sweep kernel."""
-    root = pathlib.Path(__file__).resolve().parents[1]
-    script = root / "scripts" / "sweep_cost.py"
-    done = subprocess.run(
-        [sys.executable, str(script), "--sweeps", "1", "--rounds", "1",
-         "--warmup", "1"], capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    rows = [line.split()[0] for line in done.stdout.splitlines()[1:]]
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "sweep_cost.py"
+    spec = importlib.util.spec_from_file_location("sweep_cost", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["sweep_cost.py", "--sweeps", "1",
+                                      "--rounds", "1", "--warmup", "1"])
+    script.main()
+    rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
     assert rows == ["16x3000", "16x1801", "16x180", "22x16x101", "12x16x101"]

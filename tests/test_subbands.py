@@ -28,6 +28,12 @@ def _point_band(center):
     return plan_subbands(center, center, FINE, ALPHA).bands[0]
 
 
+def _plain_solve(band, stat, cfg, geom):
+    """Center-atom magnitude of a plain solve of the band's own grid."""
+    _, moments, _ = solve(steering_matrix(band.grid.values, geom), stat, cfg)
+    return float(np.abs(moments.mean[band.center_index]))
+
+
 def _point_scan(center, stat, cfg, geom):
     """Center-atom magnitude of the one band a single-point scan solves."""
     plan = plan_subbands(center, center, FINE, ALPHA)
@@ -96,6 +102,7 @@ class TestPlanSubbands:
         assert len(plan.bands) == plan.scan_grid.values.size
         for point, band in zip(plan.scan_grid.values, plan.bands):
             assert band.center == point
+            assert band.grid.values[band.center_index] == point
 
 
 class TestSolveSubband:
@@ -189,14 +196,14 @@ class TestSuperresScan:
         assert len(plan.bands) == 12
         baseline = superres_scan(plan, stat, cfg, geom)
         stacks = []
-        solve_band_stack = subbands._solve_band_stack
+        solve_stack = subbands.solve_stack
 
-        def recording(bands, *args):
-            stacks.append(len(bands))
-            return solve_band_stack(bands, *args)
+        def recording(matrices, *args):
+            stacks.append(len(matrices))
+            return solve_stack(matrices, *args)
 
         monkeypatch.setattr(subbands, "_MAX_STACK", 5)
-        monkeypatch.setattr(subbands, "_solve_band_stack", recording)
+        monkeypatch.setattr(subbands, "solve_stack", recording)
         chunked = superres_scan(plan, stat, cfg, geom)
         assert stacks == [5, 5, 2]
         assert np.array_equal(chunked.values, baseline.values)
@@ -212,9 +219,8 @@ class TestSuperresScan:
             theta - np.radians(0.03), theta + np.radians(0.03), FINE, ALPHA
         )
         spec = superres_scan(plan, stat, cfg, geom)
-        singles = np.array(
-            [_point_scan(b.center, stat, cfg, geom) for b in plan.bands]
-        )
+        singles = np.array([_plain_solve(band, stat, cfg, geom)
+                            for band in plan.bands])
         assert np.array_equal(spec.values, singles)
 
     def test_noiseless_scan_argmax_hits_source(self):
@@ -253,22 +259,42 @@ class TestSuperresScan:
         assert np.median(ratios) > 5.0
 
     def test_scan_values_match_unpadded_solves(self):
-        # Bands near +90 deg are clipped to different widths, so the stack
-        # pads them; each center value still equals a plain solve of the
-        # band's own dictionary.
-        theta = np.radians(89.6)
+        # Bands near +-90 deg run past the domain and are truncated to
+        # different widths, their stack columns beyond it left at zero; each
+        # center value still equals a plain solve of the band's own grid.
         geom = UlaGeometry(16)
-        stat = _single_source_stat(theta, n_snapshots=40, snr_db=10.0, seed=4)
         cfg = SolverConfig(
             sigma2=0.7, n_snapshots=40, max_iterations=50, init=1.0
         )
+        for theta in np.radians([89.6, -89.95]):
+            stat = _single_source_stat(theta, n_snapshots=40, snr_db=10.0,
+                                       seed=4)
+            plan = plan_subbands(theta - 3 * FINE, theta + 3 * FINE, FINE,
+                                 ALPHA)
+            assert len({b.grid.values.size for b in plan.bands}) > 1
+            spec = superres_scan(plan, stat, cfg, geom)
+            for value, band in zip(spec.values, plan.bands):
+                assert value == _plain_solve(band, stat, cfg, geom)
+
+    @pytest.mark.parametrize("theta_deg", [89.6, -89.95])
+    def test_band_stack_is_the_lattice_near_the_edge(self, theta_deg):
+        theta = np.radians(theta_deg)
+        geom = UlaGeometry(16)
         plan = plan_subbands(theta - 3 * FINE, theta + 3 * FINE, FINE, ALPHA)
-        assert len({b.grid.values.size for b in plan.bands}) > 1
-        spec = superres_scan(plan, stat, cfg, geom)
-        for value, band in zip(spec.values, plan.bands):
-            _, moments, _ = solve(steering_matrix(band.grid.values, geom), stat, cfg)
-            direct = np.abs(moments.mean[band.center_index])
-            assert abs(value - direct) <= 1e-12 * direct
+        lattice = plan.lattice
+        h = plan.half_span
+        assert np.array_equal(lattice[h:h + len(plan.scan_grid)],
+                              plan.scan_grid.values)
+        outside = (lattice < -np.pi / 2) | (lattice >= np.pi / 2)
+        assert outside.any()
+        stack = subbands.band_stack(plan, geom)
+        assert stack.shape == (len(plan.bands), 16, 2 * h + 1)
+        for i, band in enumerate(plan.bands):
+            dead = outside[i:i + 2 * h + 1]
+            assert np.array_equal(stack[i].any(axis=0), ~dead)
+            assert np.array_equal(stack[i][:, ~dead],
+                                  steering_matrix(band.grid.values, geom))
+            assert band.grid.values[band.center_index] == band.center
 
     def test_failure_lists_band_centers(self):
         geom = UlaGeometry(8)
