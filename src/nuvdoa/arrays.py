@@ -61,15 +61,6 @@ class AngleGrid:
 
 
 @dataclass(frozen=True)
-class SteeringDictionary:
-    """Steering vectors of every grid angle, stacked as columns."""
-
-    matrix: np.ndarray
-    grid: AngleGrid
-    geometry: UlaGeometry
-
-
-@dataclass(frozen=True)
 class Scenario:
     """Ground-truth description of one simulated observation.
 
@@ -204,10 +195,9 @@ def build_band_grid(lo: float, hi: float, step: float) -> AngleGrid:
     return AngleGrid(values=values[values < HALF_PI], step=step)
 
 
-def build_dictionary(grid: AngleGrid, geometry: UlaGeometry) -> SteeringDictionary:
+def build_dictionary(grid: AngleGrid, geometry: UlaGeometry) -> np.ndarray:
     """Steering dictionary of the grid: shape (n_sensors, len(grid))."""
-    matrix = steering_matrix(grid.values, geometry)
-    return SteeringDictionary(matrix=matrix, grid=grid, geometry=geometry)
+    return steering_matrix(grid.values, geometry)
 
 
 def simulate_snapshots(scenario: Scenario, seed: int) -> SnapshotBatch:

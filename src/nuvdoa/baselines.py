@@ -7,7 +7,6 @@ and work with the same steering convention as the rest of the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -22,15 +21,6 @@ _DENOM_FLOOR = 1e-30
 
 class RootDeficitError(RuntimeError):
     """Fewer admissible polynomial roots than requested sources."""
-
-
-@dataclass(frozen=True)
-class SubspaceDecomposition:
-    """Eigenvalues (descending) and an orthonormal noise-subspace basis."""
-
-    eigenvalues: np.ndarray
-    noise_basis: np.ndarray
-    n_sources: int
 
 
 def _check_cov(cov: np.ndarray) -> np.ndarray:
@@ -84,31 +74,26 @@ def mvdr_spectrum(cov: np.ndarray, grid: AngleGrid,
     return Spectrum(values=np.maximum(values, 0.0), grid=grid)
 
 
-def noise_subspace(cov: np.ndarray, n_sources: int) -> SubspaceDecomposition:
-    """Eigendecompose the covariance and keep the noise-side eigenvectors.
+def noise_subspace(cov: np.ndarray, n_sources: int) -> np.ndarray:
+    """Orthonormal noise-subspace basis of the covariance.
 
-    Eigenvalues are returned in descending order; the basis columns are the
-    eigenvectors of the ``n - n_sources`` smallest eigenvalues.
+    The columns are the eigenvectors of the ``n - n_sources`` smallest
+    eigenvalues.
     """
     cov = _check_cov(cov)
     n = cov.shape[0]
     if not 1 <= n_sources < n:
         raise ValueError(f"n_sources must be in [1, {n - 1}], got {n_sources}")
-    eigenvalues, eigenvectors = np.linalg.eigh(cov)
-    basis = eigenvectors[:, : n - n_sources]
-    return SubspaceDecomposition(
-        eigenvalues=eigenvalues[::-1].copy(),
-        noise_basis=basis,
-        n_sources=n_sources,
-    )
+    _, eigenvectors = np.linalg.eigh(cov)
+    return eigenvectors[:, : n - n_sources]
 
 
 def music_spectrum(cov: np.ndarray, grid: AngleGrid, n_sources: int) -> Spectrum:
     """Subspace scan: 1 / ||U_n^H a(theta)||^2 per grid angle."""
     cov = _check_cov(cov)
-    decomp = noise_subspace(cov, n_sources)
+    basis = noise_subspace(cov, n_sources)
     steering = steering_matrix(grid.values, UlaGeometry(cov.shape[0]))
-    proj = decomp.noise_basis.conj().T @ steering
+    proj = basis.conj().T @ steering
     denom = np.einsum("nm,nm->m", proj.conj(), proj).real
     values = 1.0 / np.maximum(denom, _DENOM_FLOOR)
     return Spectrum(values=values, grid=grid)
@@ -155,8 +140,8 @@ def root_music(cov: np.ndarray, n_sources: int) -> np.ndarray:
     """
     cov = _check_cov(cov)
     n = cov.shape[0]
-    decomp = noise_subspace(cov, n_sources)
-    projector = decomp.noise_basis @ decomp.noise_basis.conj().T
+    basis = noise_subspace(cov, n_sources)
+    projector = basis @ basis.conj().T
     projector = (projector + projector.conj().T) / 2.0
     # Coefficient of z^(d + n - 1) is the d-th diagonal sum; np.roots wants
     # the highest power first.

@@ -59,9 +59,8 @@ class DoaSampling:
     """How each trial draws its true directions (degrees at this boundary).
 
     ``fixed`` replays the same angles every trial; ``uniform_range`` draws
-    each source uniformly in [lo, hi]; ``uniform_abs_range`` draws the
-    magnitude uniformly in [lo, hi] and flips a fair sign, covering the
-    two-sided boundary regime that a single uniform interval cannot express.
+    the sources in [lo, hi], every pair at least ``min_separation_deg``
+    apart.
     """
 
     kind: str
@@ -71,7 +70,7 @@ class DoaSampling:
     min_separation_deg: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "uniform_range", "uniform_abs_range"):
+        if self.kind not in ("fixed", "uniform_range"):
             raise ValueError(f"unknown doa_sampling kind {self.kind!r}")
         if self.kind == "fixed":
             if len(self.angles_deg) == 0:
@@ -86,10 +85,10 @@ class DoaSampling:
                     raise ValueError(f"{name} must be finite")
             if not self.lo_deg < self.hi_deg:
                 raise ValueError("need lo_deg < hi_deg")
-            if self.kind == "uniform_abs_range" and self.lo_deg < 0:
-                raise ValueError("abs-range bounds must be nonnegative")
             if self.lo_deg < -90.0 or self.hi_deg > 90.0:
                 raise ValueError("sampling range must lie within [-90, 90] deg")
+            if not 0.0 <= self.min_separation_deg < math.inf:
+                raise ValueError("min_separation_deg must be finite and nonnegative")
 
     def check(self, k: int) -> None:
         """Raise ValueError unless some draw of ``k`` directions exists."""
@@ -97,28 +96,25 @@ class DoaSampling:
             if len(self.angles_deg) != k:
                 raise ValueError("fixed angle count does not match k_sources")
             return
-        span = self.hi_deg - self.lo_deg
-        if self.kind == "uniform_abs_range":
-            span = 2.0 * self.hi_deg
-        if (k - 1) * self.min_separation_deg >= span:
+        if (k - 1) * self.min_separation_deg >= self.hi_deg - self.lo_deg:
             raise ValueError(f"no {k} directions fit in the sampling range "
                              f"more than min_separation_deg apart")
 
     def draw(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        """Sorted true directions in radians."""
+        """Sorted true directions in radians.
+
+        ``uniform_range`` draws ``k`` sorted points in the range shortened
+        by the ``k - 1`` separations, then spreads the i-th point by ``i``
+        separations, in one pass.  At zero separation this is the sorted
+        uniform draw over [lo, hi].
+        """
+        self.check(k)
         if self.kind == "fixed":
-            self.check(k)
             return np.sort(np.radians(self.angles_deg))
-        for _ in range(100):
-            if self.kind == "uniform_range":
-                doas = rng.uniform(self.lo_deg, self.hi_deg, size=k)
-            else:
-                doas = rng.uniform(self.lo_deg, self.hi_deg, size=k)
-                doas *= rng.choice([-1.0, 1.0], size=k)
-            doas = np.sort(doas)
-            if k == 1 or np.diff(doas).min() > self.min_separation_deg:
-                return np.radians(doas)
-        raise RuntimeError("could not draw directions with the requested separation")
+        sep = self.min_separation_deg
+        room = self.hi_deg - self.lo_deg - (k - 1) * sep
+        return np.radians(self.lo_deg + np.sort(rng.uniform(0.0, room, size=k))
+                          + sep * np.arange(k))
 
 
 @dataclass(frozen=True)
@@ -159,6 +155,11 @@ class ScenarioConfig:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
         self.doa_sampling.check(self.k_sources)
+        for name in ("flat_grid_cells", "baseline_grid_cells"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be at least 2")
+        if not self.detection_threshold_deg > 0:
+            raise ValueError("detection_threshold_deg must be positive")
         if self.snr_db == -math.inf:
             raise ValueError("snr_db must be greater than -inf")
         if -math.inf in self.snr_sweep:

@@ -6,13 +6,13 @@ fixed-point iteration.  One sweep computes the posterior mean and variance
 of the atom amplitudes under the current prior variances, then replaces each
 prior variance by MacKay's update ``|mean|^2 / (1 - variance / pv)``
 (Tipping, JMLR 2001), computed as ``pv |a^H Q ybar|^2 / gain`` from the
-sweep's own gain ``a^H Q a``; :func:`em_step` is one such sweep.  It has
-the fixed points of the EM update ``|mean|^2 + variance``, since
-``pv - variance = |mean|^2`` at a fixed point of either, and reaches them
-in a few sweeps where EM creeps: on the shrinkage branch (noise floor
-above the signal) EM approaches zero sublinearly, while MacKay's update
-contracts geometrically.  Atoms that the data does not support collapse to
-zero variance, which is what produces a sparse angular spectrum.
+sweep's own gain ``a^H Q a``.  It has the fixed points of the EM update
+``|mean|^2 + variance``, since ``pv - variance = |mean|^2`` at a fixed
+point of either, and reaches them in a few sweeps where EM creeps: on the
+shrinkage branch (noise floor above the signal) EM approaches zero
+sublinearly, while MacKay's update contracts geometrically.  Atoms that
+the data does not support collapse to zero variance, which is what
+produces a sparse angular spectrum.
 
 All computations run on the snapshot mean only; the snapshot count enters
 through the noise scale ``sigma2 / n_snapshots``.  The loop sets its own
@@ -41,7 +41,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import zpotrf, ztrtri
 
-from .arrays import AngleGrid, SteeringDictionary, SufficientStatistic
+from .arrays import AngleGrid, SufficientStatistic
 
 
 class SolverNumericalError(RuntimeError):
@@ -178,12 +178,6 @@ class PeakSelection:
     fallback_filled: bool = False
 
 
-def _as_matrix(dictionary) -> np.ndarray:
-    if isinstance(dictionary, SteeringDictionary):
-        return dictionary.matrix
-    return np.asarray(dictionary)
-
-
 def _as_mean(stat) -> np.ndarray:
     if isinstance(stat, SufficientStatistic):
         return stat.mean
@@ -197,7 +191,7 @@ def precision_matrix(dictionary, state: NuvState, config: SolverConfig) -> np.nd
     atom-count sized dual) and inverts it through a Cholesky factorization.
     The result is symmetrized before it is returned.
     """
-    matrix = _as_matrix(dictionary)
+    matrix = np.asarray(dictionary)
     pv = state.prior_variances
     if matrix.shape[1] != pv.size:
         raise ValueError("dictionary and state disagree on atom count")
@@ -232,7 +226,7 @@ def posterior_moments(dictionary, state: NuvState, precision: np.ndarray,
     the largest variance.  Tests of such states check against the primal
     form instead.
     """
-    matrix = _as_matrix(dictionary)
+    matrix = np.asarray(dictionary)
     pv = state.prior_variances
     ybar = _as_mean(stat)
     filtered = precision @ matrix
@@ -508,22 +502,6 @@ def solve_stack(matrices, means, config: SolverConfig,
     return final_pv, mean, variance, excursion, traces
 
 
-def em_step(dictionary, state: NuvState, stat, config: SolverConfig) -> NuvState:
-    """One sweep of the loop: posterior moments, then MacKay's update."""
-    matrix = _as_matrix(dictionary)
-    if matrix.shape[1] != state.prior_variances.size:
-        raise ValueError("dictionary and state disagree on atom count")
-    matrices = np.asarray(matrix, dtype=complex)[None]
-    conj_means = np.asarray(_as_mean(stat), dtype=complex).conj()[None]
-    pv = state.prior_variances[None]
-    mean, _, _, gain = _moments(
-        matrices.swapaxes(1, 2).copy(), conj_means, _is_ula_stack(matrices),
-        config.noise_scale, pv, state.iteration)
-    return NuvState(prior_variances=_mackay_update(pv, mean, gain,
-                                                   state.iteration)[0],
-                    iteration=state.iteration + 1)
-
-
 def solve(dictionary, stat, config: SolverConfig, keep_history: bool = False):
     """Run the variance fixed point to convergence.
 
@@ -538,7 +516,7 @@ def solve(dictionary, stat, config: SolverConfig, keep_history: bool = False):
     -------
     (NuvState, PosteriorMoments, SolveTrace)
     """
-    matrix = _as_matrix(dictionary)
+    matrix = np.asarray(dictionary)
     ybar = _as_mean(stat)
     if not np.all(np.isfinite(ybar)):
         raise ValueError("snapshot mean contains non-finite entries")

@@ -162,7 +162,7 @@ def test_criterion_04_noiseless_on_grid_recovery():
     for _ in range(100):
         index = int(rng.integers(0, 180))
         amplitude = _cn(rng)
-        ybar = amplitude * dictionary.matrix[:, index]
+        ybar = amplitude * dictionary[:, index]
         _, moments, _ = solve(dictionary, ybar, config)
         hits += int(np.argmax(spectrum(moments, grid).values) == index)
     elapsed = time.perf_counter() - started

@@ -125,13 +125,13 @@ def test_band_grid_rejects_non_finite_bounds(lo, hi):
 def test_dictionary_single_broadside_column():
     grid = AngleGrid(values=np.array([0.0]), step=1.0)
     d = build_dictionary(grid, GEOM4)
-    npt.assert_array_equal(d.matrix[:, 0], np.ones(4))
+    npt.assert_array_equal(d[:, 0], np.ones(4))
 
 
 def test_dictionary_first_row_all_ones():
     d = build_dictionary(build_grid(4), UlaGeometry(n_sensors=2))
-    assert d.matrix.shape == (2, 4)
-    npt.assert_array_equal(d.matrix[0], np.ones(4))
+    assert d.shape == (2, 4)
+    npt.assert_array_equal(d[0], np.ones(4))
 
 
 def test_dictionary_columns_match_elementwise_oracle():
@@ -143,12 +143,12 @@ def test_dictionary_columns_match_elementwise_oracle():
         oracle = np.array([complex(math.cos(-math.pi * n * math.sin(theta)),
                                    math.sin(-math.pi * n * math.sin(theta)))
                            for n in range(16)])
-        npt.assert_allclose(d.matrix[:, m], oracle, atol=1e-13)
+        npt.assert_allclose(d[:, m], oracle, atol=1e-13)
 
 
 def test_dictionary_unit_modulus():
     d = build_dictionary(build_grid(181), GEOM16)
-    npt.assert_allclose(np.abs(d.matrix), 1.0, atol=1e-12)
+    npt.assert_allclose(np.abs(d), 1.0, atol=1e-12)
 
 
 def test_noiseless_snapshots_are_scaled_steering_vectors():

@@ -110,16 +110,15 @@ class TestParseConfig:
     def test_separation_that_some_draw_meets_is_accepted(self):
         config = parse_config({
             "scenario": {"k_sources": 2},
-            "doa_sampling": {"kind": "uniform_abs_range", "lo_deg": 5.0,
-                             "hi_deg": 10.0, "min_separation_deg": 15.0},
+            "doa_sampling": {"lo_deg": -10.0, "hi_deg": 10.0,
+                             "min_separation_deg": 15.0},
         })
         assert config.doa_sampling.min_separation_deg == 15.0
 
     def test_sampling_may_reach_the_domain_edge(self):
         for sampling in ({"kind": "fixed", "angles_deg": [-90.0]},
                          {"lo_deg": -90.0, "hi_deg": 90.0},
-                         {"kind": "uniform_abs_range", "lo_deg": 0.0,
-                          "hi_deg": 90.0}):
+                         {"lo_deg": 0.0, "hi_deg": 90.0}):
             parse_config({"doa_sampling": sampling})
 
     def test_timing_needs_a_yaml_boolean(self):
@@ -192,6 +191,15 @@ class TestEstimateCommand:
         first = capsys.readouterr().out
         main(["estimate", "--config", str(path)])
         assert capsys.readouterr().out == first
+
+    def test_tight_feasible_separation_returns_zero(self, tmp_path, capsys):
+        path = _write_config(tmp_path, {
+            "scenario": {"k_sources": 3, "n_snapshots": 16, "snr_db": 20.0},
+            "doa_sampling": {"lo_deg": -10.0, "hi_deg": 10.0,
+                             "min_separation_deg": 9.9}})
+        assert main(["estimate", "--config", str(path)]) == 0
+        truth = json.loads(capsys.readouterr().out)["true_doas_deg"]
+        assert min(b - a for a, b in zip(truth, truth[1:])) >= 9.9
 
     def test_seed_flag_changes_scenario(self, tmp_path, capsys):
         path = _write_config(tmp_path)
@@ -319,10 +327,7 @@ class TestExitCodes:
         ({"scenario": {"k_sources": 3, "n_snapshots": 16},
           "doa_sampling": {"lo_deg": -10.0, "hi_deg": 10.0, "min_separation_deg": 10.0}},
          "no 3 directions fit in the sampling range"),
-        ({"scenario": {"k_sources": 2, "n_snapshots": 16},
-          "doa_sampling": {"kind": "uniform_abs_range", "lo_deg": 5.0, "hi_deg": 10.0,
-                           "min_separation_deg": 20.0}},
-         "no 2 directions fit in the sampling range"),
+        ({"flat_grid_cells": 1}, "flat_grid_cells must be at least 2"),
         ({"seed": 1.5}, "seed must be an integer"),
         ({"seed": True}, "seed must be an integer"),
         ({"trials": "5"}, "trials must be an integer"),
@@ -362,9 +367,10 @@ class TestExitCodes:
          "sampling range must lie within [-90, 90] deg"),
         ({"doa_sampling": {"lo_deg": -90.5}},
          "sampling range must lie within [-90, 90] deg"),
-        ({"doa_sampling": {"kind": "uniform_abs_range", "lo_deg": 5.0,
-                           "hi_deg": 90.5}},
-         "sampling range must lie within [-90, 90] deg"),
+        ({"baseline_grid_cells": 1}, "baseline_grid_cells must be at least 2"),
+        ({"detection_threshold_deg": -1.0}, "detection_threshold_deg must be positive"),
+        ({"doa_sampling": {"min_separation_deg": -1.0}},
+         "min_separation_deg must be finite and nonnegative"),
     ])
     def test_invalid_settings_are_two(self, tmp_path, capsys, overrides, message):
         path = _write_config(tmp_path, overrides)

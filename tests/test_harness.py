@@ -57,20 +57,35 @@ class TestDoaSampling:
     def test_impossible_separation_raises(self):
         ds = DoaSampling(kind="uniform_range", lo_deg=0.0, hi_deg=1.0,
                          min_separation_deg=10.0)
-        with pytest.raises(RuntimeError, match="separation"):
+        with pytest.raises(ValueError, match="no 2 directions fit"):
+            ds.check(2)
+        with pytest.raises(ValueError, match="no 2 directions fit"):
             ds.draw(2, np.random.default_rng(0))
 
-    def test_abs_range_magnitudes_and_signs(self):
-        ds = DoaSampling(kind="uniform_abs_range", lo_deg=50.0, hi_deg=75.0)
+    def test_tight_feasible_separation_draws(self):
+        # Three sources 9.9 deg apart fill 19.8 of a 20 deg range: a draw
+        # that rejected uniform draws would almost never land one.
+        ds = DoaSampling(kind="uniform_range", lo_deg=-10.0, hi_deg=10.0,
+                         min_separation_deg=9.9)
+        ds.check(3)
         rng = np.random.default_rng(0)
-        draws = np.degrees([ds.draw(1, rng)[0] for _ in range(200)])
-        mags = np.abs(draws)
-        assert mags.min() >= 50.0 and mags.max() <= 75.0
-        assert (draws < 0).any() and (draws > 0).any()
+        for _ in range(200):
+            doas = np.degrees(ds.draw(3, rng))
+            assert np.diff(doas).min() >= 9.9
+            assert doas[0] >= -10.0 and doas[-1] <= 10.0
 
-    def test_abs_range_rejects_negative_lower_bound(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            DoaSampling(kind="uniform_abs_range", lo_deg=-5.0, hi_deg=75.0)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_zero_separation_is_the_sorted_uniform_draw(self, k):
+        ds = DoaSampling(kind="uniform_range", lo_deg=-30.0, hi_deg=40.0)
+        drawn = ds.draw(k, np.random.default_rng(k))
+        expected = np.radians(np.sort(
+            np.random.default_rng(k).uniform(-30.0, 40.0, k)))
+        np.testing.assert_array_equal(drawn, expected)
+
+    @pytest.mark.parametrize("sep", [-1.0, math.inf])
+    def test_separation_must_be_finite_and_nonnegative(self, sep):
+        with pytest.raises(ValueError, match="min_separation_deg"):
+            DoaSampling(kind="uniform_range", min_separation_deg=sep)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):

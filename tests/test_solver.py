@@ -27,7 +27,6 @@ from nuvdoa.solver import (
     SolverNumericalError,
     Spectrum,
     _is_ula_stack,
-    em_step,
     posterior_moments,
     precision_matrix,
     select_peaks,
@@ -131,39 +130,43 @@ def test_moment_variance_never_exceeds_prior_variance():
         assert np.all(mom.variance >= 0)
 
 
-def test_em_step_zero_state_is_fixed_point():
-    rng = np.random.default_rng(4)
-    a, _, ybar = random_problem(rng, 3, 4)
+def test_solve_zero_column_stays_at_zero():
+    # A zero column starts at zero variance, and zero is a fixed point.
     cfg = SolverConfig(sigma2=1.0, n_snapshots=2, init=1.0)
-    state = NuvState(prior_variances=np.zeros(4))
-    new = em_step(a, state, ybar, cfg)
-    npt.assert_array_equal(new.prior_variances, np.zeros(4))
-    assert new.iteration == 1
+    state, _, trace = solve(np.zeros((1, 1)), np.array([2.0 + 0j]), cfg,
+                            keep_history=True)
+    npt.assert_array_equal(trace.history, [[0.0], [0.0]])
+    npt.assert_array_equal(state.prior_variances, [0.0])
+    assert trace.iterations == 1 and trace.converged
+
+
+def _scalar_history(ybar, cfg):
+    """Sweeps of the scalar problem ``a = 1``: ``pv <- pv |ybar|^2 / (pv + s)``."""
+    _, _, trace = solve(np.ones((1, 1)), np.array([ybar + 0j]), cfg,
+                        keep_history=True)
+    history = np.array(trace.history)[:, 0]
+    s = cfg.noise_scale
+    expected = history[:-1] * abs(ybar) ** 2 / (history[:-1] + s)
+    npt.assert_allclose(history[1:], expected, rtol=1e-14, atol=0)
+    return history
 
 
 def test_em_scalar_recursion_converges_to_analytic_fixed_point():
     # For a unit-modulus single atom the fixed point is |ybar|^2 - sigma2/L.
-    a = np.array([[1.0 + 0j]])
-    ybar = np.array([2.0 + 0j])
-    cfg = SolverConfig(sigma2=1.0, n_snapshots=1, init=1.0,
-                       max_iterations=600)
-    state = NuvState(prior_variances=np.array([0.7]))
-    for _ in range(600):
-        state = em_step(a, state, ybar, cfg)
-    assert state.prior_variances[0] == pytest.approx(3.0, abs=1e-12)
+    cfg = SolverConfig(sigma2=1.0, n_snapshots=1, init=0.7,
+                       max_iterations=600, tolerance=1e-300)
+    history = _scalar_history(2.0, cfg)
+    assert history[0] == 0.7
+    assert history[-1] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_em_scalar_noise_dominated_decreases_toward_zero():
-    a = np.array([[1.0 + 0j]])
-    ybar = np.array([0.5 + 0j])
-    cfg = SolverConfig(sigma2=1.0, n_snapshots=1, init=1.0)
-    state = NuvState(prior_variances=np.array([1.0]))
-    previous = 1.0
-    for _ in range(50):
-        state = em_step(a, state, ybar, cfg)
-        assert state.prior_variances[0] < previous
-        previous = state.prior_variances[0]
-    assert previous < 0.15
+    cfg = SolverConfig(sigma2=1.0, n_snapshots=1, init=1.0,
+                       max_iterations=50, tolerance=1e-300)
+    history = _scalar_history(0.5, cfg)
+    assert history.size == 51
+    assert np.all(np.diff(history) < 0)
+    assert history[-1] < 0.15
 
 
 @pytest.mark.parametrize("ybar, target", [(2.0, 3.0), (0.5, 0.0)])
@@ -199,7 +202,7 @@ def test_solve_noiseless_on_grid_source_argmax():
         rng = np.random.default_rng(seed)
         idx = int(rng.integers(0, 180))
         s = rng.standard_normal() + 1j * rng.standard_normal()
-        ybar = s * d.matrix[:, idx]
+        ybar = s * d[:, idx]
         _, mom, _ = solve(d, ybar, cfg)
         assert int(np.argmax(np.abs(mom.mean))) == idx
 
@@ -226,18 +229,16 @@ def _mackay_reference(d, state, stat, cfg):
     by zero.  Atoms at zero variance stay there.
     """
     pv = state.prior_variances
-    matrix = d.matrix
     precision = precision_matrix(d, state, cfg)
     mom = posterior_moments(d, state, precision, stat)
-    gain = np.einsum("nm,nm->m", matrix.conj(), precision @ matrix).real
+    gain = np.einsum("nm,nm->m", d.conj(), precision @ d).real
     update = np.zeros_like(pv)
     np.divide(np.abs(mom.mean) ** 2, pv * gain, out=update, where=pv > 0)
     return NuvState(update, state.iteration + 1)
 
 
 def test_solve_history_follows_hand_iterated_sweeps():
-    """solve's iterates are em_step's, and the MacKay update of the
-    reference moments."""
+    """solve's iterates are the MacKay update of the reference moments."""
     geom = UlaGeometry(16)
     d = build_dictionary(build_grid(180), geom)
     scen = Scenario(geometry=geom, true_doas=(0.3, -0.5), n_snapshots=10,
@@ -247,13 +248,10 @@ def test_solve_history_follows_hand_iterated_sweeps():
                        tolerance=1e-300)
     state, moments, trace = solve(d, stat, cfg, keep_history=True)
     assert len(trace.history) == 61
-    stepped = NuvState(np.ones(180))
-    reference = stepped
+    reference = NuvState(np.ones(180))
     for solved in trace.history[1:]:
-        stepped = em_step(d, stepped, stat, cfg)
         reference = _mackay_reference(d, reference, stat, cfg)
         scale = np.abs(solved).max()
-        assert np.abs(stepped.prior_variances - solved).max() <= 1e-12 * scale
         assert np.abs(reference.prior_variances - solved).max() <= 1e-12 * scale
     final = posterior_moments(d, state, precision_matrix(d, state, cfg), stat)
     npt.assert_allclose(moments.mean, final.mean,
@@ -323,7 +321,7 @@ def test_stack_matches_problems_solved_alone():
 def test_stack_starts_live_columns_at_init_and_padding_at_zero():
     """solve_stack sets its own start; padding starts and stays at zero."""
     geom = UlaGeometry(8)
-    dictionaries = [build_dictionary(build_grid(m), geom).matrix
+    dictionaries = [build_dictionary(build_grid(m), geom)
                     for m in (20, 33, 41)]
     widths = [d.shape[1] for d in dictionaries]
     matrices = np.zeros((3, 8, max(widths)), dtype=complex)
@@ -362,8 +360,8 @@ def test_zero_variance_columns_stay_zero_without_nan():
     a[:, 3] = 0.0
     geom = UlaGeometry(8)
     steering = np.zeros((2, 8, 30), dtype=complex)
-    steering[0, :, :20] = build_dictionary(build_grid(20), geom).matrix
-    steering[1] = build_dictionary(build_grid(30), geom).matrix
+    steering[0, :, :20] = build_dictionary(build_grid(20), geom)
+    steering[1] = build_dictionary(build_grid(30), geom)
     scen = Scenario(geometry=geom, true_doas=(0.2,), n_snapshots=10,
                     snr_db=5.0)
     stat = snapshot_mean(simulate_snapshots(scen, seed=5)).mean
@@ -383,7 +381,7 @@ def test_zero_variance_columns_stay_zero_without_nan():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_nonfinite_mean_raises(bad):
     """A non-finite statistic reaches the update as a non-finite variance."""
-    a = build_dictionary(build_grid(20), UlaGeometry(8)).matrix
+    a = build_dictionary(build_grid(20), UlaGeometry(8))
     ybar = np.ones(8, dtype=complex)
     ybar[2] = bad
     cfg = SolverConfig(sigma2=0.5, n_snapshots=10)
@@ -404,7 +402,7 @@ def test_tiny_noise_floor_on_steering_raises_numerical_error(seed):
     d = build_dictionary(build_grid(180), UlaGeometry(16))
     rng = np.random.default_rng(seed)
     atoms = rng.choice(180, size=2, replace=False)
-    ybar = d.matrix[:, atoms] @ (rng.standard_normal(2)
+    ybar = d[:, atoms] @ (rng.standard_normal(2)
                                  + 1j * rng.standard_normal(2))
     cfg = SolverConfig(sigma2=1e-14, n_snapshots=1, max_iterations=200)
     with np.errstate(all="ignore"):
@@ -418,13 +416,13 @@ def test_stack_failure_names_problem_after_others_retire():
     d = build_dictionary(build_grid(180), UlaGeometry(16))
     rng = np.random.default_rng(0)
     atoms = rng.choice(180, size=2, replace=False)
-    ybar = d.matrix[:, atoms] @ (rng.standard_normal(2)
+    ybar = d[:, atoms] @ (rng.standard_normal(2)
                                  + 1j * rng.standard_normal(2))
     means = np.stack([np.zeros(16, dtype=complex), ybar])
     cfg = SolverConfig(sigma2=1e-14, n_snapshots=1, max_iterations=200)
     with np.errstate(all="ignore"):
         with pytest.raises(SolverNumericalError) as info:
-            solve_stack(np.stack([d.matrix, d.matrix]), means, cfg)
+            solve_stack(np.stack([d, d]), means, cfg)
     assert info.value.iteration > 1
     assert info.value.problems == (1,)
 
@@ -485,7 +483,7 @@ def test_steering_solve_matches_reference_moments(sigma2):
     stat = snapshot_mean(simulate_snapshots(scen, seed=1))
     cfg = SolverConfig(sigma2=sigma2, n_snapshots=100, init=1.0)
     state, moments, _ = solve(d, stat, cfg)
-    _check_against_references(d.matrix, stat.mean, state.prior_variances,
+    _check_against_references(d, stat.mean, state.prior_variances,
                               moments.mean, moments.variance, cfg)
 
 
@@ -530,13 +528,13 @@ def test_noiseless_long_solve_matches_primal_moments():
         index = int(rng.integers(0, 180))
         amplitude = (rng.standard_normal()
                      + 1j * rng.standard_normal()) / np.sqrt(2)
-        ybar = amplitude * d.matrix[:, index]
+        ybar = amplitude * d[:, index]
         state, moments, trace = solve(d, ybar, cfg)
         assert trace.converged
         dual = posterior_moments(d, state, precision_matrix(d, state, cfg),
                                  ybar)
         primal_mean, primal_variance = _primal_moments(
-            d.matrix, ybar, state.prior_variances, cfg.noise_scale)
+            d, ybar, state.prior_variances, cfg.noise_scale)
         assert _gap(moments.mean, dual.mean) <= 1e-9
         assert _gap(moments.mean, primal_mean) <= 1e-9
         assert _gap(moments.variance, primal_variance) <= 1e-9
@@ -550,7 +548,7 @@ def test_noiseless_long_solve_off_steering_matches_primal_moments():
     the dense sweep into the same ill-conditioned end states as
     :func:`test_noiseless_long_solve_matches_primal_moments`.
     """
-    matrix = build_dictionary(build_grid(180), UlaGeometry(16)).matrix[::-1]
+    matrix = build_dictionary(build_grid(180), UlaGeometry(16))[::-1]
     assert not _is_ula_stack(matrix[None])
     cfg = SolverConfig(sigma2=1e-3, n_snapshots=1, max_iterations=2000,
                        tolerance=1e-10, init=1.0)
