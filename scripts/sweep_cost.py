@@ -13,6 +13,10 @@ package's solves, all on 16 sensors:
   two-source scans (0.01-degree step, 0.5-degree half width), built by
   ``subbands.band_stack`` as ``subbands.superres_scan`` builds them.
 
+The three flat dictionaries come from ``pipeline.full_azimuth_dictionary``,
+as the package's solves get them: in the layout the stack loop reads
+without a copy.
+
 Each stack is timed at the prior variances reached after ``--warmup``
 sweeps on a seeded one-source statistic (K=1, L=100, 10 dB, sigma2 = 1), so
 that the variances are as spread as in a running solve; the loop's solves
@@ -37,11 +41,10 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from nuvdoa.arrays import (  # noqa: E402
     Scenario,
     UlaGeometry,
-    build_grid,
     simulate_snapshots,
     snapshot_mean,
-    steering_matrix,
 )
+from nuvdoa.pipeline import full_azimuth_dictionary  # noqa: E402
 from nuvdoa.solver import _is_ula_stack, _mackay_update, _moments  # noqa: E402
 from nuvdoa.subbands import band_stack, plan_subbands  # noqa: E402
 
@@ -50,11 +53,6 @@ SOURCE_DEG = 10.3
 FINE_STEP_DEG = 0.01
 HALF_WIDTH_DEG = 0.5
 NOISE_SCALE = 1.0 / 100
-
-
-def flat_stack(cells: int):
-    grid = build_grid(cells)
-    return steering_matrix(grid.values, UlaGeometry(N_SENSORS))[None]
 
 
 def scan_stack(bands: int):
@@ -74,7 +72,7 @@ def sweep_us(matrices, args) -> tuple:
     mean = snapshot_mean(simulate_snapshots(scenario, args.seed)).mean
     count = matrices.shape[0]
     # The stack loop's operands: A^T and the conjugated means.
-    operands = (matrices.swapaxes(1, 2).copy(),
+    operands = (np.ascontiguousarray(matrices.swapaxes(1, 2)),
                 np.broadcast_to(mean, (count, N_SENSORS)).conj())
     steering = _is_ula_stack(matrices)
     pv = (np.abs(matrices[:, 0]) > 0).astype(float)
@@ -104,8 +102,10 @@ def main() -> None:
     args = parser.parse_args()
     if min(args.sweeps, args.rounds) < 1 or args.warmup < 0:
         parser.error("--sweeps and --rounds must be >= 1, --warmup >= 0")
-    shapes = (("16x3000", flat_stack(3000)), ("16x1801", flat_stack(1801)),
-              ("16x180", flat_stack(180)), ("22x16x101", scan_stack(22)),
+    flat = {cells: full_azimuth_dictionary(cells, N_SENSORS)[1][None]
+            for cells in (3000, 1801, 180)}
+    shapes = (("16x3000", flat[3000]), ("16x1801", flat[1801]),
+              ("16x180", flat[180]), ("22x16x101", scan_stack(22)),
               ("12x16x101", scan_stack(12)))
     print(f"{'shape':<10} {'us/sweep':>9} {'fastest':>9}")
     for name, matrices in shapes:

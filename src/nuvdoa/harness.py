@@ -21,7 +21,7 @@ from .arrays import (
     SOURCE_MODELS,
     Scenario,
     UlaGeometry,
-    build_dictionary,
+    build_dictionary,  # noqa: F401  (kept: perfbench/tracing.py wraps this name)
     build_grid,
     sample_covariance,
     simulate_snapshots,
@@ -40,6 +40,7 @@ from .pipeline import (
     Sigma2Table,
     coarse_estimate,
     estimate_multisource,
+    full_azimuth_dictionary,
     resolve_sigma2,
 )
 from .solver import (
@@ -247,8 +248,8 @@ def _nuv_doa(batch, config: ScenarioConfig, snr_db: float):
 
 
 def _nuv_ssr_flat(batch, config: ScenarioConfig, snr_db: float):
-    grid = build_grid(config.flat_grid_cells)
-    dictionary = build_dictionary(grid, UlaGeometry(config.n_sensors))
+    grid, dictionary = full_azimuth_dictionary(config.flat_grid_cells,
+                                               config.n_sensors)
     sigma2 = resolve_sigma2(config.solver, snr_db)
     _, moments, _ = solve(dictionary, snapshot_mean(batch), config.solver_config(sigma2))
     return spectrum(moments, grid)

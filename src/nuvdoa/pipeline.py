@@ -246,6 +246,25 @@ def estimate_effective_snr(cov: np.ndarray) -> float:
     return 10.0 * math.log10(signal / floor)
 
 
+@cache
+def full_azimuth_dictionary(m_cells: int, n_sensors: int):
+    """The full-azimuth grid of ``m_cells`` points and its steering dictionary.
+
+    Both depend only on the two counts, so they are built on the first call
+    for a pair and shared by every later one; both are read-only.  The
+    ``(n_sensors, m_cells)`` dictionary is the transpose of a C-contiguous
+    ``(m_cells, n_sensors)`` array, the layout :func:`solver.solve_stack`
+    works in, so solving on it copies nothing.  Each pair holds
+    ``16 * m_cells * n_sensors`` bytes for the life of the process.
+    """
+    grid = build_grid(m_cells)
+    grid.values.flags.writeable = False
+    atoms = np.ascontiguousarray(
+        build_dictionary(grid, UlaGeometry(n_sensors)).T)
+    atoms.flags.writeable = False
+    return grid, atoms.T
+
+
 def coarse_estimate(batch: SnapshotBatch, n_sources: int,
                     settings: PipelineSettings,
                     solver: SolverSettings) -> CoarseEstimate:
@@ -271,8 +290,8 @@ def coarse_estimate(batch: SnapshotBatch, n_sources: int,
                                   effective_snr_db=effective)
         except RootDeficitError:
             flags.append("root_deficit_fallback")
-    grid = build_grid(settings.coarse_cells)
-    dictionary = build_dictionary(grid, geometry)
+    grid, dictionary = full_azimuth_dictionary(settings.coarse_cells,
+                                               geometry.n_sensors)
     stat = snapshot_mean(batch)
     solver_cfg = solver.solver_config(batch.n_snapshots,
                                       resolve_sigma2(solver, effective))

@@ -14,6 +14,8 @@ from nuvdoa.arrays import (
     Scenario,
     SufficientStatistic,
     UlaGeometry,
+    build_dictionary,
+    build_grid,
     simulate_snapshots,
     snapshot_mean,
     steering_vector,
@@ -31,6 +33,7 @@ from nuvdoa.pipeline import (
     error_table_from_payload,
     estimate_effective_snr,
     estimate_multisource,
+    full_azimuth_dictionary,
     load_default_error_table,
     load_default_sigma2_table,
     refine_source,
@@ -38,7 +41,8 @@ from nuvdoa.pipeline import (
     resolve_sigma2,
     sigma2_table_from_payload,
 )
-from nuvdoa.solver import SolverSettings
+from nuvdoa.harness import ScenarioConfig, _nuv_ssr_flat
+from nuvdoa.solver import SolverSettings, solve
 
 GEOM = UlaGeometry(16)
 MAKE_TABLES = Path(__file__).resolve().parents[1] / "scripts" / "make_tables.py"
@@ -240,6 +244,51 @@ class TestCoarseEstimate:
             coarse_estimate(batch, 0, PipelineSettings(), SolverSettings())
         with pytest.raises(ValueError):
             coarse_estimate(batch, 16, PipelineSettings(), SolverSettings())
+
+
+class TestFullAzimuthDictionary:
+    def test_second_call_returns_the_same_read_only_objects(self):
+        grid, dictionary = full_azimuth_dictionary(90, 16)
+        again = full_azimuth_dictionary(90, 16)
+        assert again[0] is grid and again[1] is dictionary
+        with pytest.raises(ValueError):
+            grid.values[0] = 0.0
+        with pytest.raises(ValueError):
+            dictionary[0, 0] = 0.0
+
+    def test_is_a_fresh_build_in_the_solvers_layout(self):
+        grid, dictionary = full_azimuth_dictionary(300, 16)
+        fresh = build_grid(300)
+        assert grid.step == fresh.step
+        assert grid.values.tobytes() == fresh.values.tobytes()
+        reference = build_dictionary(fresh, GEOM)
+        assert dictionary.shape == reference.shape
+        assert dictionary.tobytes() == reference.tobytes()
+        stack = np.ascontiguousarray(dictionary[None].swapaxes(1, 2))
+        assert np.shares_memory(stack, dictionary)
+
+    def test_flat_and_coarse_solves_agree_on_miss_and_hit(self):
+        batch = _batch([20.0], n_snapshots=100, snr_db=0.0, seed=3)
+        config = ScenarioConfig(method="nuv_ssr_flat", snr_db=0.0)
+
+        def estimates():
+            flat = _nuv_ssr_flat(batch, config, 0.0)
+            coarse = coarse_estimate(batch, 1, PipelineSettings(known_snr=0.0),
+                                     SolverSettings(sigma2=1.0))
+            assert coarse.method == "nuv_coarse"
+            return flat.values.tobytes(), coarse.angles.tobytes()
+
+        full_azimuth_dictionary.cache_clear()
+        miss = estimates()
+        assert full_azimuth_dictionary.cache_info().misses == 2
+        assert estimates() == miss
+        assert full_azimuth_dictionary.cache_info().hits == 2
+        # The flat estimate is the one a per-call build gives.
+        grid = build_grid(config.flat_grid_cells)
+        sigma2 = resolve_sigma2(config.solver, 0.0)
+        _, moments, _ = solve(build_dictionary(grid, GEOM), snapshot_mean(batch),
+                              config.solver_config(sigma2))
+        assert np.abs(moments.mean).tobytes() == miss[0]
 
 
 class TestCancelInterference:
