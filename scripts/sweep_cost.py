@@ -15,14 +15,19 @@ package's solves, all on 16 sensors:
 
 The three flat dictionaries come from ``pipeline.full_azimuth_dictionary``,
 as the package's solves get them: in the layout the stack loop reads
-without a copy.
+without a copy.  Every stack is a steering stack, as its producer tells
+the loop: each sweep takes the Toeplitz branch, and the live columns are
+read off row 0, as the loop reads them.  The ``check us`` column is the
+cost of ``solver._is_ula_stack`` on the stack: what a stack of unknown
+origin (``steering=None``) still pays once per solve.
 
 Each stack is timed at the prior variances reached after ``--warmup``
 sweeps on a seeded one-source statistic (K=1, L=100, 10 dB, sigma2 = 1), so
 that the variances are as spread as in a running solve; the loop's solves
 stop after 3 to 6 sweeps on the package's workloads.  The printed figure
 is the median over ``--rounds`` rounds of the mean time of ``--sweeps``
-sweeps, with the fastest round beside it.  Run from the root of a checkout:
+sweeps, with the fastest round beside it; the check is timed the same
+way.  Run from the root of a checkout:
 
     python3 scripts/sweep_cost.py
 """
@@ -64,8 +69,19 @@ def scan_stack(bands: int):
     return band_stack(plan, UlaGeometry(N_SENSORS))
 
 
+def median_fastest_us(call, args) -> tuple:
+    """(median, fastest) microseconds per ``call()`` over the rounds."""
+    rounds = []
+    for _ in range(args.rounds):
+        started = time.perf_counter()
+        for _ in range(args.sweeps):
+            call()
+        rounds.append((time.perf_counter() - started) / args.sweeps * 1e6)
+    return statistics.median(rounds), min(rounds)
+
+
 def sweep_us(matrices, args) -> tuple:
-    """(median, fastest) microseconds per sweep of one stack."""
+    """(median, fastest) microseconds per sweep of one steering stack."""
     scenario = Scenario(geometry=UlaGeometry(N_SENSORS),
                         true_doas=(math.radians(SOURCE_DEG),),
                         n_snapshots=100, snr_db=10.0)
@@ -74,23 +90,16 @@ def sweep_us(matrices, args) -> tuple:
     # The stack loop's operands: A^T and the conjugated means.
     operands = (np.ascontiguousarray(matrices.swapaxes(1, 2)),
                 np.broadcast_to(mean, (count, N_SENSORS)).conj())
-    steering = _is_ula_stack(matrices)
-    pv = (np.abs(matrices[:, 0]) > 0).astype(float)
+    pv = (matrices[:, 0] != 0).astype(float)
 
     def sweep(pv, iteration):
-        mean, _, _, gain = _moments(*operands, steering, NOISE_SCALE, pv,
+        mean, _, _, gain = _moments(*operands, True, NOISE_SCALE, pv,
                                     iteration)
         return _mackay_update(pv, mean, gain, iteration)
 
     for iteration in range(args.warmup):
         pv = sweep(pv, iteration)
-    rounds = []
-    for _ in range(args.rounds):
-        started = time.perf_counter()
-        for _ in range(args.sweeps):
-            sweep(pv, args.warmup)
-        rounds.append((time.perf_counter() - started) / args.sweeps * 1e6)
-    return statistics.median(rounds), min(rounds)
+    return median_fastest_us(lambda: sweep(pv, args.warmup), args)
 
 
 def main() -> None:
@@ -107,10 +116,11 @@ def main() -> None:
     shapes = (("16x3000", flat[3000]), ("16x1801", flat[1801]),
               ("16x180", flat[180]), ("22x16x101", scan_stack(22)),
               ("12x16x101", scan_stack(12)))
-    print(f"{'shape':<10} {'us/sweep':>9} {'fastest':>9}")
+    print(f"{'shape':<10} {'us/sweep':>9} {'fastest':>9} {'check us':>9}")
     for name, matrices in shapes:
         median, fastest = sweep_us(matrices, args)
-        print(f"{name:<10} {median:9.1f} {fastest:9.1f}")
+        check, _ = median_fastest_us(lambda: _is_ula_stack(matrices), args)
+        print(f"{name:<10} {median:9.1f} {fastest:9.1f} {check:9.1f}")
 
 
 if __name__ == "__main__":

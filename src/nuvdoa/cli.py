@@ -157,7 +157,10 @@ def load_config(path, args) -> ScenarioConfig:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     config = parse_config(raw if raw is not None else {})
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        try:
+            config = replace(config, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from None
     if getattr(args, "timing", False):
         config = replace(config, timing=True)
     return config

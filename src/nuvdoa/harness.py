@@ -146,6 +146,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not 1 <= self.k_sources < self.n_sensors:
             raise ValueError("need 1 <= k_sources < n_sensors")
         if self.source_model not in SOURCE_MODELS:
@@ -251,7 +253,8 @@ def _nuv_ssr_flat(batch, config: ScenarioConfig, snr_db: float):
     grid, dictionary = full_azimuth_dictionary(config.flat_grid_cells,
                                                config.n_sensors)
     sigma2 = resolve_sigma2(config.solver, snr_db)
-    _, moments, _ = solve(dictionary, snapshot_mean(batch), config.solver_config(sigma2))
+    _, moments, _ = solve(dictionary, snapshot_mean(batch),
+                          config.solver_config(sigma2), steering=True)
     return spectrum(moments, grid)
 
 

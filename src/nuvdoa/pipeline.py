@@ -254,8 +254,10 @@ def full_azimuth_dictionary(m_cells: int, n_sensors: int):
     for a pair and shared by every later one; both are read-only.  The
     ``(n_sensors, m_cells)`` dictionary is the transpose of a C-contiguous
     ``(m_cells, n_sensors)`` array, the layout :func:`solver.solve_stack`
-    works in, so solving on it copies nothing.  Each pair holds
-    ``16 * m_cells * n_sensors`` bytes for the life of the process.
+    works in, so solving on it copies nothing; its solves pass
+    ``steering=True``, so the solver does not re-check its columns.  Each
+    pair holds ``16 * m_cells * n_sensors`` bytes for the life of the
+    process.
     """
     grid = build_grid(m_cells)
     grid.values.flags.writeable = False
@@ -295,7 +297,7 @@ def coarse_estimate(batch: SnapshotBatch, n_sources: int,
     stat = snapshot_mean(batch)
     solver_cfg = solver.solver_config(batch.n_snapshots,
                                       resolve_sigma2(solver, effective))
-    _, moments, _ = solve(dictionary, stat, solver_cfg)
+    _, moments, _ = solve(dictionary, stat, solver_cfg, steering=True)
     peaks = select_peaks(spectrum(moments, grid), n_sources)
     if peaks.fallback_filled:
         flags.append("peak_fallback_filled")

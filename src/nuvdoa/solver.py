@@ -27,9 +27,10 @@ ULA steering vector ``a_d = z^d`` with ``|z| = 1`` (zero columns
 allowed), ``G`` is Hermitian Toeplitz with first column ``r = A pv`` and
 each gain is a trigonometric polynomial in the diagonal sums of ``G^-1``
 (the identity behind root-MUSIC), so those two steps cost ``O(n m)``
-rather than ``O(n^2 m)``.  The solver tells such stacks from the
-dictionary entries, once per stack; any other dictionary builds ``G`` by
-the dense product and whitens every atom for its gain.
+rather than ``O(n^2 m)``.  The code that builds a steering stack says so
+(``steering=True``); a stack of unknown origin is checked entry by entry,
+once per solve.  Any other dictionary builds ``G`` by the dense product
+and whitens every atom for its gain.
 """
 
 from __future__ import annotations
@@ -317,8 +318,8 @@ def _moments(transposed: np.ndarray, conj_means: np.ndarray, steering: bool,
 
     ``transposed`` holds the dictionaries as ``A^T`` ``(b, m, n)`` and
     ``conj_means`` the conjugated means ``(b, n)``; ``noise`` is the noise
-    scale ``sigma2 / L`` and ``steering`` whether :func:`_is_ula_stack`
-    holds for the stack.  Returns
+    scale ``sigma2 / L`` and ``steering`` whether every live column is a
+    ULA steering vector, as :func:`solve_stack` was told or found.  Returns
     ``(mean, variance, clamp_excursion)``, one row (or entry) per problem,
     with the values of :func:`precision_matrix` followed by
     :func:`posterior_moments` up to rounding.  Every stack runs one flow:
@@ -416,7 +417,7 @@ def _mackay_update(pv: np.ndarray, mean: np.ndarray, gain: np.ndarray,
 
 
 def solve_stack(matrices, means, config: SolverConfig,
-                keep_history: bool = False):
+                keep_history: bool = False, *, steering: bool | None = None):
     """Run the variance fixed point on a stack of independent problems.
 
     Each sweep evaluates the posterior moments and replaces the variances
@@ -432,6 +433,11 @@ def solve_stack(matrices, means, config: SolverConfig,
     the active stack; every problem gets one final moment evaluation at its
     stopped variances.  A problem's iterates do not depend on the other
     problems of the stack; zero columns change them at most by rounding.
+    ``steering=True`` says every nonzero column is a ULA steering vector, as
+    in stacks built by ``steering_matrix``: the sweep takes the Toeplitz
+    branch and reads the live columns off row 0 (1, or 0 in a zero column).
+    ``None`` runs :func:`_is_ula_stack` and a scan of every entry instead,
+    ``O(n m)`` work per solve.
 
     Returns ``(pv, mean, variance, clamp_excursion, traces)``: the final
     variances and the moments at them, one row per problem, and one
@@ -441,9 +447,11 @@ def solve_stack(matrices, means, config: SolverConfig,
     count = matrices.shape[0]
     transposed = np.ascontiguousarray(matrices.swapaxes(1, 2))
     conj_means = np.asarray(means, dtype=complex).conj()
-    steering = _is_ula_stack(matrices)
+    if steering is None:
+        steering = _is_ula_stack(matrices)
+    live = matrices[:, 0] != 0 if steering else matrices.any(axis=1)
     noise = config.noise_scale
-    pv = np.where(matrices.any(axis=1), config.init, 0.0)
+    pv = np.where(live, config.init, 0.0)
     final_pv = np.empty_like(pv)
     iterations = np.empty(count, dtype=int)
     changes = np.empty(count)
@@ -502,7 +510,8 @@ def solve_stack(matrices, means, config: SolverConfig,
     return final_pv, mean, variance, excursion, traces
 
 
-def solve(dictionary, stat, config: SolverConfig, keep_history: bool = False):
+def solve(dictionary, stat, config: SolverConfig, keep_history: bool = False,
+          *, steering: bool | None = None):
     """Run the variance fixed point to convergence.
 
     Runs :func:`solve_stack` on a stack of one problem: from
@@ -511,6 +520,7 @@ def solve(dictionary, stat, config: SolverConfig, keep_history: bool = False):
     ``tolerance * max(1, ||pv||_inf)`` or ``max_iterations`` is reached,
     then evaluates the posterior moments once more at the final variances.
     The state and moment records are built once, at the end.
+    ``steering`` is passed on to :func:`solve_stack`.
 
     Returns
     -------
@@ -523,7 +533,7 @@ def solve(dictionary, stat, config: SolverConfig, keep_history: bool = False):
     if matrix.shape[0] != ybar.size:
         raise ValueError("dictionary and statistic disagree on sensor count")
     pv, mean, variance, excursion, (trace,) = solve_stack(
-        matrix[None], ybar[None], config, keep_history)
+        matrix[None], ybar[None], config, keep_history, steering=steering)
     return (NuvState(prior_variances=pv[0], iteration=trace.iterations),
             PosteriorMoments(mean=mean[0], variance=variance[0],
                              clamp_excursion=float(excursion[0])),

@@ -109,6 +109,8 @@ def band_stack(plan: SubBandPlan, geometry: UlaGeometry) -> np.ndarray:
 
     A read-only view of one steering matrix of the lattice, zero outside
     the domain: column ``j`` of band ``i`` is lattice point ``i + j``.
+    Every nonzero column is a steering vector, so the scan solves the stack
+    with ``steering=True``.
     """
     lattice = plan.lattice
     live = (-HALF_PI <= lattice) & (lattice < HALF_PI)
@@ -136,7 +138,8 @@ def superres_scan(plan: SubBandPlan, stat, config: SolverConfig,
         chunk = stack[start:start + _MAX_STACK]
         try:
             _, post_mean, _, _, _ = solve_stack(
-                chunk, np.broadcast_to(mean, (len(chunk), n)), config)
+                chunk, np.broadcast_to(mean, (len(chunk), n)), config,
+                steering=True)
         except SolverNumericalError as exc:
             centers = [round(float(np.degrees(plan.scan_grid.values[start + i])),
                              4) for i in exc.problems]

@@ -371,6 +371,8 @@ class TestExitCodes:
         ({"detection_threshold_deg": -1.0}, "detection_threshold_deg must be positive"),
         ({"doa_sampling": {"min_separation_deg": -1.0}},
          "min_separation_deg must be finite and nonnegative"),
+        ({"seed": -3}, "seed must be nonnegative"),
+        ({"seed": -1}, "seed must be nonnegative"),
     ])
     def test_invalid_settings_are_two(self, tmp_path, capsys, overrides, message):
         path = _write_config(tmp_path, overrides)
@@ -389,6 +391,12 @@ class TestExitCodes:
                      "--out", str(tmp_path / "sr.csv"), "--scan-lo-deg", lo,
                      "--scan-hi-deg", hi]) == 2
         assert (f"config error: superres scan window: {message}"
+                in capsys.readouterr().err)
+
+    def test_negative_seed_flag_is_two(self, tmp_path, capsys):
+        path = _write_config(tmp_path)
+        assert main(["--seed", "-1", "estimate", "--config", str(path)]) == 2
+        assert ("config error: --seed: seed must be nonnegative"
                 in capsys.readouterr().err)
 
     def test_missing_config_is_two(self, tmp_path):

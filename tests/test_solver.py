@@ -19,12 +19,23 @@ from nuvdoa.arrays import (
     snapshot_mean,
     steering_matrix,
 )
-from nuvdoa.pipeline import load_default_sigma2_table
+import nuvdoa.harness as harness_mod
+import nuvdoa.pipeline as pipeline_mod
+import nuvdoa.solver as solver_mod
+import nuvdoa.subbands as subbands_mod
+from nuvdoa.harness import ScenarioConfig
+from nuvdoa.pipeline import (
+    PipelineSettings,
+    coarse_estimate,
+    full_azimuth_dictionary,
+    load_default_sigma2_table,
+)
 from nuvdoa.solver import (
     NuvState,
     PosteriorMoments,
     SolverConfig,
     SolverNumericalError,
+    SolverSettings,
     Spectrum,
     _is_ula_stack,
     posterior_moments,
@@ -34,7 +45,7 @@ from nuvdoa.solver import (
     solve_stack,
     spectrum,
 )
-from nuvdoa.subbands import band_stack, plan_subbands
+from nuvdoa.subbands import band_stack, plan_subbands, superres_scan
 
 
 def random_problem(rng, n, m):
@@ -601,6 +612,94 @@ def test_ula_detection_rejects_other_dictionaries(kind):
     _check_against_references(matrix, ybar, state.prior_variances,
                               moments.mean, moments.variance, cfg)
 
+
+
+@pytest.mark.parametrize("kind", ["random", "rows_reversed", "row_scaled",
+                                  "off_circle", "steering"])
+def test_undeclared_stacks_are_checked_for_their_branch(monkeypatch, kind):
+    """With ``steering=None`` the check picks the sweep: only the steering
+    dictionary takes the Toeplitz branch."""
+    matrices = {**_not_steering(), "steering": steering_matrix(
+        np.radians(np.linspace(-60.0, 60.0, 40)), UlaGeometry(8))}
+    branches = []
+    moments = solver_mod._moments
+
+    def recording(transposed, conj_means, steering, *args):
+        branches.append(steering)
+        return moments(transposed, conj_means, steering, *args)
+
+    monkeypatch.setattr(solver_mod, "_moments", recording)
+    cfg = SolverConfig(sigma2=0.3, n_snapshots=10, max_iterations=100)
+    solve(matrices[kind], np.ones(8, dtype=complex), cfg)
+    assert branches and set(branches) == {kind == "steering"}
+
+
+@pytest.mark.parametrize("n", [2, 3, 16])
+@pytest.mark.parametrize("m", [180, 1801, 3000])
+def test_full_azimuth_dictionaries_pass_the_ula_check(m, n):
+    """Their solves pass ``steering=True``: the check would say the same,
+    and row 0 marks the same live columns as a scan of every entry."""
+    stack = full_azimuth_dictionary(m, n)[1][None]
+    assert _is_ula_stack(stack)
+    assert np.array_equal(stack[:, 0] != 0, stack.any(axis=1))
+
+
+@pytest.mark.parametrize("n", [2, 16])
+@pytest.mark.parametrize("lo_deg, hi_deg", [(-90.0, -89.9), (89.9, 90.0)])
+def test_edge_band_stacks_pass_the_ula_check(lo_deg, hi_deg, n):
+    plan = plan_subbands(np.radians(lo_deg), np.radians(hi_deg),
+                         np.radians(0.01), np.radians(0.5))
+    stack = band_stack(plan, UlaGeometry(n))
+    assert not stack.any(axis=1).all()
+    assert _is_ula_stack(stack)
+    assert np.array_equal(stack[:, 0] != 0, stack.any(axis=1))
+
+
+def _producers():
+    """(module, solver entry it calls, run) for each steering-stack producer."""
+    theta = np.radians(20.0)
+    scenario = Scenario(geometry=UlaGeometry(16), true_doas=(theta,),
+                        n_snapshots=100, snr_db=0.0)
+    batch = simulate_snapshots(scenario, 3)
+    plan = plan_subbands(theta - np.radians(0.05), theta + np.radians(0.05),
+                         np.radians(0.01), np.radians(0.5))
+    cfg = SolverConfig(sigma2=1.0, n_snapshots=100)
+    flat_config = ScenarioConfig(method="nuv_ssr_flat", snr_db=0.0)
+    return {
+        "nuv_ssr_flat": (harness_mod, "solve", lambda: harness_mod._nuv_ssr_flat(
+            batch, flat_config, 0.0).values),
+        # known_snr 0 dB is below the 7 dB gate: the sparse coarse path.
+        "coarse_estimate": (pipeline_mod, "solve", lambda: coarse_estimate(
+            batch, 1, PipelineSettings(known_snr=0.0),
+            SolverSettings(sigma2=1.0)).angles),
+        "superres_scan": (subbands_mod, "solve_stack", lambda: superres_scan(
+            plan, snapshot_mean(batch), cfg, UlaGeometry(16)).values),
+    }
+
+
+@pytest.mark.parametrize("producer", ["nuv_ssr_flat", "coarse_estimate",
+                                      "superres_scan"])
+def test_producers_declare_steering_and_skip_the_check(monkeypatch, producer):
+    """Each producer's result is the one a ``steering=None`` solve of the
+    same stacks gives, bit for bit, and it never runs the check."""
+    module, name, run = _producers()[producer]
+    original = getattr(module, name)
+    declared = []
+
+    def undeclared(*args, steering=None):
+        declared.append(steering)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, undeclared)
+    reference = run()
+    assert declared and all(flag is True for flag in declared)
+    monkeypatch.setattr(module, name, original)
+
+    def refuse(matrices):
+        raise AssertionError("a declared steering stack was checked")
+
+    monkeypatch.setattr(solver_mod, "_is_ula_stack", refuse)
+    assert run().tobytes() == reference.tobytes()
 
 def test_spectrum_is_elementwise_modulus():
     grid = build_grid(4)

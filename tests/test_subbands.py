@@ -198,9 +198,9 @@ class TestSuperresScan:
         stacks = []
         solve_stack = subbands.solve_stack
 
-        def recording(matrices, *args):
+        def recording(matrices, *args, **kwargs):
             stacks.append(len(matrices))
-            return solve_stack(matrices, *args)
+            return solve_stack(matrices, *args, **kwargs)
 
         monkeypatch.setattr(subbands, "_MAX_STACK", 5)
         monkeypatch.setattr(subbands, "solve_stack", recording)
