@@ -31,6 +31,11 @@ rather than ``O(n^2 m)``.  The code that builds a steering stack says so
 (``steering=True``); a stack of unknown origin is checked entry by entry,
 once per solve.  Any other dictionary builds ``G`` by the dense product
 and whitens every atom for its gain.
+
+A sweep of the loop computes only what the loop reads: the mean, the
+gains and the worst negative variance excursion, then the update, which
+is checked once for values outside ``[0, inf)``.  The clamped variances
+and the trace record are made once per solve, at the end.
 """
 
 from __future__ import annotations
@@ -124,13 +129,9 @@ class NuvState:
         pv = np.asarray(self.prior_variances, dtype=float)
         if pv.ndim != 1:
             raise ValueError("prior variances must be a vector")
-        _check_prior_variances(pv)
+        if not np.isfinite(pv).all() or (pv < 0).any():
+            raise ValueError("prior variances must be finite and nonnegative")
         object.__setattr__(self, "prior_variances", pv)
-
-
-def _check_prior_variances(pv: np.ndarray) -> None:
-    if not np.isfinite(pv).all() or (pv < 0).any():
-        raise ValueError("prior variances must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -163,6 +164,21 @@ class SolveTrace:
     converged: bool
     worst_clamp_excursion: float
     history: tuple = ()
+
+
+@dataclass(frozen=True)
+class StackTrace:
+    """Diagnostics of one :func:`solve_stack` run, one entry per problem.
+
+    ``histories`` holds, when kept, each problem's prior variances from the
+    start through every sweep it ran; otherwise it is empty.
+    """
+
+    iterations: np.ndarray
+    final_change: np.ndarray
+    converged: np.ndarray
+    worst_clamp_excursion: np.ndarray
+    histories: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -270,22 +286,37 @@ def _toeplitz_tables(n: int):
 
     ``lower[k, l] = |k - l|`` indexes the first column ``r`` of a Hermitian
     Toeplitz matrix into its lower triangle (the upper one is not read).
-    ``sums`` maps a flattened ``n x n`` matrix ``Q`` to ``c_0 = tr Q`` and
-    ``c_d = 2 sum_k Q[k, k+d]``: ``vec(Q) @ sums = c``.
+    ``upper`` lists the flat indices ``k (n + 1) + d`` of the upper
+    triangle's entries ``Q[k, k+d]`` of an ``n x n`` matrix, diagonal by
+    diagonal, and ``starts`` where each diagonal begins in that list.
     """
     k = np.arange(n)
     lower = np.abs(k[:, None] - k[None, :])
-    sums = np.zeros((n * n, n), dtype=complex)
-    for d in range(n):
-        sums[k[: n - d] * (n + 1) + d, d] = 1.0 if d == 0 else 2.0
-    lower.setflags(write=False)
-    sums.setflags(write=False)
-    return lower, sums
+    upper = np.concatenate([k[: n - d] * (n + 1) + d for d in range(n)])
+    lengths = np.arange(n, 0, -1)
+    starts = np.cumsum(lengths) - lengths
+    for table in (lower, upper, starts):
+        table.setflags(write=False)
+    return lower, upper, starts
 
 
-def _check_gram(gram: np.ndarray, iteration: int) -> None:
+def _diagonal_sums(precision: np.ndarray) -> np.ndarray:
+    """``c_0 = tr Q`` and ``c_d = 2 sum_k Q[k, k+d]`` of every ``Q`` of a
+    ``(b, n, n)`` stack, as ``(b, n)``: one gather of the upper triangles
+    and one segmented sum."""
+    count, n, _ = precision.shape
+    _, upper, starts = _toeplitz_tables(n)
+    sums = np.add.reduceat(precision.reshape(count, n * n)[:, upper], starts,
+                           axis=1)
+    sums[:, 1:] *= 2.0
+    return sums
+
+
+def _check_finite(gram: np.ndarray, iteration: int) -> None:
+    """Refuse the problems whose Gram entries (or first columns) are not
+    all finite."""
     if not np.isfinite(gram).all():
-        bad = ~np.isfinite(gram).all(axis=(1, 2))
+        bad = ~np.isfinite(gram.reshape(len(gram), -1)).all(axis=1)
         raise SolverNumericalError("observation covariance is not finite",
                                    iteration, np.flatnonzero(bad))
 
@@ -314,31 +345,36 @@ def _inverse_factors(gram: np.ndarray, iteration: int) -> np.ndarray:
 
 def _moments(transposed: np.ndarray, conj_means: np.ndarray, steering: bool,
              noise: float, pv: np.ndarray, iteration: int):
-    """Posterior moments of every problem of a stack at prior variances ``pv``.
+    """Posterior means and gains of every problem of a stack at prior
+    variances ``pv``.
 
-    ``transposed`` holds the dictionaries as ``A^T`` ``(b, m, n)`` and
-    ``conj_means`` the conjugated means ``(b, n)``; ``noise`` is the noise
-    scale ``sigma2 / L`` and ``steering`` whether every live column is a
-    ULA steering vector, as :func:`solve_stack` was told or found.  Returns
-    ``(mean, variance, clamp_excursion)``, one row (or entry) per problem,
-    with the values of :func:`precision_matrix` followed by
-    :func:`posterior_moments` up to rounding.  Every stack runs one flow:
-    build ``G = A diag(pv) A^H + (sigma2/L) I``, factor ``G = R R^H``
-    (lower Cholesky), form ``Q = G^-1 = R^-H R^-1``; the mean is
-    ``pv * conj(A^T conj(Q ybar))``, the gain ``a_j^H Q a_j`` and the
-    variance ``pv - pv^2 * gain``.
+    ``transposed`` holds the dictionaries as ``A^T`` ``(b, m, n)``, with a
+    unit-stride last axis, and ``conj_means`` the conjugated means
+    ``(b, n)``; ``noise`` is the noise scale ``sigma2 / L`` and
+    ``steering`` whether every live column is a ULA steering vector, as
+    :func:`solve_stack` was told or found.  Returns ``(mean, gain,
+    clamp_excursion)``, one row (or entry) per problem: the mean of
+    :func:`posterior_moments` up to rounding, the gains ``a_j^H Q a_j``,
+    and how far below zero the worst variance ``pv - pv^2 * gain`` goes.
+    These are all a sweep of the loop reads; the clamped variance
+    ``max(pv - pv^2 * gain, 0)`` is formed once, at the end of a solve.
+    Every stack runs one flow: build ``G = A diag(pv) A^H + (sigma2/L) I``,
+    factor ``G = R R^H`` (lower Cholesky), form ``Q = G^-1 = R^-H R^-1``;
+    the mean is ``pv * conj(A^T conj(Q ybar))``.
 
     Two steps depend on the dictionary.  Any dictionary: ``G`` is the dense
-    ``O(n^2 m)`` product and each gain is ``||R^-1 a_j||^2``.  Steering
-    columns ``a_j = z_j^d``, ``|z_j| = 1``: ``G[k, l] = sum_j pv_j
-    z_j^(k-l)`` is Hermitian Toeplitz, gathered from its first column
-    ``r = A pv``, and ``a_j^H Q a_j = Re(sum_d c_d z_j^d)`` with
+    ``O(n^2 m)`` product, checked for finiteness entry by entry, and each
+    gain is ``||R^-1 a_j||^2``.  Steering columns ``a_j = z_j^d``,
+    ``|z_j| = 1``: ``G[k, l] = sum_j pv_j z_j^(k-l)`` is Hermitian
+    Toeplitz, gathered from its first column ``r = A pv`` once ``r`` is
+    checked for finiteness, and ``a_j^H Q a_j = Re(sum_d c_d z_j^d)`` with
     ``c_0 = tr Q`` and ``c_d = 2 sum_k Q[k, k+d]`` for ``d >= 1`` (the
-    identity root-MUSIC's polynomial rests on); both cost ``O(n m)``.
-    Where ``pv * gain > 1/2`` the variance ``pv (1 - pv * gain)`` would
-    cancel the absolute rounding of that sum, so those gains are
-    recomputed as ``||R^-1 a_j||^2``.  Since ``sum_j pv_j gain_j =
-    n - (sigma2/L) tr Q < n``, fewer than ``2n`` atoms per problem qualify.
+    identity root-MUSIC's polynomial rests on), read off the whole stack
+    by :func:`_diagonal_sums`; both cost ``O(n m)``.  Where
+    ``pv * gain > 1/2`` the variance ``pv (1 - pv * gain)`` would cancel
+    the absolute rounding of that sum, so those gains are recomputed as
+    ``||R^-1 a_j||^2``.  Since ``sum_j pv_j gain_j = n - (sigma2/L) tr Q
+    < n``, fewer than ``2n`` atoms per problem qualify.
 
     ``R^-1`` is formed explicitly (an n x n triangular inverse) and applied
     by matrix products rather than by a triangular solve against the m
@@ -349,7 +385,6 @@ def _moments(transposed: np.ndarray, conj_means: np.ndarray, steering: bool,
     """
     count, m, n = transposed.shape
     if steering:
-        lower, sums = _toeplitz_tables(n)
         # r = A pv, the first column of A diag(pv) A^H, is row 0 of a real
         # (b, 2, m) @ (b, m, 2n) product.  A one-row product (BLAS gemv)
         # rounds differently once zero columns lengthen m; this gemm sums
@@ -359,38 +394,37 @@ def _moments(transposed: np.ndarray, conj_means: np.ndarray, steering: bool,
         weights[:, 0] = pv
         first = (weights @ transposed.view(float))[:, 0].view(complex)
         first[:, 0] += noise
-        gram = first[:, lower]
+        # Every entry of G is a copy of one of r.
+        _check_finite(first, iteration)
+        gram = first[:, _toeplitz_tables(n)[0]]
     else:
         gram = (transposed.swapaxes(1, 2) * pv[:, None, :]) @ transposed.conj()
         gram.reshape(count, n * n)[:, :: n + 1] += noise
-    _check_gram(gram, iteration)
+        _check_finite(gram, iteration)
     inverses = _inverse_factors(gram, iteration)
     precision = inverses.conj().swapaxes(1, 2) @ inverses
     # Row ybar^H Q = (conj(Q ybar))^T goes under c on steering stacks and
     # under R^-1 on any other: A^T times the rows' transpose gives
     # sum_d c_d z_j^d, or (R^-1 a_j)^T, and conj(a_j^H Q ybar).
-    if steering:
-        head = precision.reshape(count, 1, n * n) @ sums
-    else:
-        head = inverses
+    head = _diagonal_sums(precision)[:, None, :] if steering else inverses
     rows = np.concatenate([head, conj_means[:, None, :] @ precision], axis=1)
     products = transposed @ rows.swapaxes(1, 2)
     mean = pv * products[:, :, -1].conj()
     if steering:
         gain = products[:, :, 0].real
-        problem, atom = np.nonzero(pv * gain > 0.5)
-        if problem.size:
+        refine = pv * gain > 0.5
+        if refine.any():
+            problem, atom = np.nonzero(refine)
             parts = (inverses[problem]
                      @ transposed[problem, atom, :, None]).view(float)
             gain[problem, atom] = np.einsum("ijk,ijk->i", parts, parts)
     else:
         parts = products[:, :, :n].view(float)
         gain = np.einsum("bij,bij->bi", parts, parts)
-    raw = pv - pv * pv * gain
     # The minimum is capped at zero; subtracting from 0.0 keeps zero
     # excursions at +0.0.
-    excursion = 0.0 - raw.min(axis=1, initial=0.0)
-    return mean, np.maximum(raw, 0.0), excursion, gain
+    excursion = 0.0 - (pv - pv * pv * gain).min(axis=1, initial=0.0)
+    return mean, gain, excursion
 
 
 def _mackay_update(pv: np.ndarray, mean: np.ndarray, gain: np.ndarray,
@@ -401,18 +435,26 @@ def _mackay_update(pv: np.ndarray, mean: np.ndarray, gain: np.ndarray,
     ``|mean|^2 / (pv gain) = pv |a^H Q ybar|^2 / gain``, read off the sweep's
     own mean and gain rather than the clamped variance.  ``gain > 0`` for a
     nonzero column, since ``Q`` is positive definite; an atom at zero
-    variance (a zero column, or one that underflowed) stays at zero.  A live
-    atom whose computed gain is not positive (the Toeplitz sum's absolute
-    rounding, at noise floors far below ``eps n^2 sum(pv)``) raises
-    :class:`SolverNumericalError` naming its problems.
+    variance (a zero column, or one that underflowed) stays at zero.  Every
+    update must lie in ``[0, inf)``; one minimum and one maximum check
+    that, and only an update that fails is looked into.  A live atom whose
+    computed gain is not positive (the Toeplitz sum's absolute rounding, at
+    noise floors far below ``eps n^2 sum(pv)``), or an update that
+    overflows from finite inputs, raises :class:`SolverNumericalError`
+    naming its problems.
     """
-    broken = ((pv > 0) & ~(gain > 0)).any(axis=1)
-    if broken.any():
-        raise SolverNumericalError("atom gain is not positive", iteration,
-                                   np.flatnonzero(broken))
     update = np.zeros_like(pv)
     np.divide(np.abs(mean) ** 2, pv * gain, out=update, where=pv > 0)
-    _check_prior_variances(update)
+    # A NaN fails both comparisons.
+    if not (update.min(initial=0.0) >= 0.0
+            and update.max(initial=0.0) < np.inf):
+        broken = ((pv > 0) & ~(gain > 0)).any(axis=1)
+        if broken.any():
+            raise SolverNumericalError("atom gain is not positive", iteration,
+                                       np.flatnonzero(broken))
+        bad = ~((update >= 0.0) & (update < np.inf)).all(axis=1)
+        raise SolverNumericalError("variance update is not finite",
+                                   iteration, np.flatnonzero(bad))
     return update
 
 
@@ -420,33 +462,42 @@ def solve_stack(matrices, means, config: SolverConfig,
                 keep_history: bool = False, *, steering: bool | None = None):
     """Run the variance fixed point on a stack of independent problems.
 
-    Each sweep evaluates the posterior moments and replaces the variances
-    by :func:`_mackay_update`.  ``matrices`` is ``(b, n, m)`` and ``means``
-    ``(b, n)``; a ``(b, n, m)`` view of a C-contiguous ``(b, m, n)`` array
-    is used without a copy.  Every column with a nonzero entry starts at
-    the prior variance ``config.init`` and every all-zero column at 0,
-    where it stays without coupling into its problem; the sub-band scan's
-    zero columns mark lattice points beyond +-pi/2 (steering columns have
-    unit-modulus entries, so no steering dictionary has one).  Each problem
-    stops when the max-norm change of its variances drops below
-    ``tolerance * max(1, ||pv||_inf)`` or at ``max_iterations``, then leaves
-    the active stack; every problem gets one final moment evaluation at its
-    stopped variances.  A problem's iterates do not depend on the other
-    problems of the stack; zero columns change them at most by rounding.
-    ``steering=True`` says every nonzero column is a ULA steering vector, as
-    in stacks built by ``steering_matrix``: the sweep takes the Toeplitz
-    branch and reads the live columns off row 0 (1, or 0 in a zero column).
-    ``None`` runs :func:`_is_ula_stack` and a scan of every entry instead,
-    ``O(n m)`` work per solve.
+    Each sweep evaluates the posterior means and gains and replaces the
+    variances by :func:`_mackay_update`.  ``matrices`` is ``(b, n, m)`` and
+    ``means`` ``(b, n)``, all finite (a non-finite mean is a
+    ``ValueError``); a ``(b, n, m)`` view whose ``(b, m, n)`` transpose has
+    a unit-stride last axis, such as a C-contiguous ``(b, m, n)`` array or
+    the sliding window of ``subbands.band_stack``, is used without a copy.
+    Every column with a nonzero entry starts at the prior variance
+    ``config.init`` and every all-zero column at 0, where it stays without
+    coupling into its problem; the sub-band scan's zero columns mark
+    lattice points beyond +-pi/2 (steering columns have unit-modulus
+    entries, so no steering dictionary has one).  Each problem stops when
+    the max-norm change of its variances drops below ``tolerance * max(1,
+    ||pv||_inf)`` or at ``max_iterations``, then leaves the active stack.
+    A sweep of the loop computes means, gains and the worst variance
+    excursion only; every problem gets one final evaluation at its stopped
+    variances, which also forms the clamped variances, and the trace
+    record is built once, after it.  A problem's iterates do not depend on
+    the other problems of the stack; zero columns change them at most by
+    rounding.  ``steering=True`` says every nonzero column is a ULA
+    steering vector, as in stacks built by ``steering_matrix``: the sweep
+    takes the Toeplitz branch and reads the live columns off row 0 (1, or
+    0 in a zero column).  ``None`` runs :func:`_is_ula_stack` and a scan
+    of every entry instead, ``O(n m)`` work per solve.
 
-    Returns ``(pv, mean, variance, clamp_excursion, traces)``: the final
+    Returns ``(pv, mean, variance, clamp_excursion, trace)``: the final
     variances and the moments at them, one row per problem, and one
-    :class:`SolveTrace` per problem.
+    :class:`StackTrace` of per-problem arrays.
     """
     matrices = np.asarray(matrices, dtype=complex)
     count = matrices.shape[0]
-    transposed = np.ascontiguousarray(matrices.swapaxes(1, 2))
+    transposed = matrices.swapaxes(1, 2)
+    if transposed.strides[2] != transposed.itemsize:
+        transposed = np.ascontiguousarray(transposed)
     conj_means = np.asarray(means, dtype=complex).conj()
+    if not np.isfinite(conj_means).all():
+        raise ValueError("snapshot mean contains non-finite entries")
     if steering is None:
         steering = _is_ula_stack(matrices)
     live = matrices[:, 0] != 0 if steering else matrices.any(axis=1)
@@ -463,8 +514,8 @@ def solve_stack(matrices, means, config: SolverConfig,
     worst_active = np.zeros(count)
     for iteration in range(1, config.max_iterations + 1):
         try:
-            mean, _, excursion, gain = _moments(work, work_means, steering,
-                                                noise, pv, iteration - 1)
+            mean, gain, excursion = _moments(work, work_means, steering,
+                                             noise, pv, iteration - 1)
             pv_new = _mackay_update(pv, mean, gain, iteration - 1)
         except SolverNumericalError as exc:
             # Name the failing problems by their index in the caller's stack.
@@ -495,19 +546,14 @@ def solve_stack(matrices, means, config: SolverConfig,
         work, work_means = work[staying], work_means[staying]
         pv = pv[staying]
         worst_active = worst_active[staying]
-    mean, variance, excursion, _ = _moments(transposed, conj_means, steering,
-                                            noise, final_pv,
-                                            int(iterations.max()))
-    traces = tuple(
-        SolveTrace(
-            iterations=int(iterations[i]),
-            final_change=float(changes[i]),
-            converged=bool(converged[i]),
-            worst_clamp_excursion=float(max(worst[i], excursion[i])),
-            history=tuple(histories[i]) if histories is not None else (),
-        )
-        for i in range(count))
-    return final_pv, mean, variance, excursion, traces
+    mean, gain, excursion = _moments(transposed, conj_means, steering, noise,
+                                     final_pv, int(iterations.max()))
+    variance = np.maximum(final_pv - final_pv * final_pv * gain, 0.0)
+    trace = StackTrace(
+        iterations=iterations, final_change=changes, converged=converged,
+        worst_clamp_excursion=np.maximum(worst, excursion),
+        histories=tuple(map(tuple, histories)) if keep_history else ())
+    return final_pv, mean, variance, excursion, trace
 
 
 def solve(dictionary, stat, config: SolverConfig, keep_history: bool = False,
@@ -519,7 +565,8 @@ def solve(dictionary, stat, config: SolverConfig, keep_history: bool = False,
     until the max-norm change of the prior variances drops below
     ``tolerance * max(1, ||pv||_inf)`` or ``max_iterations`` is reached,
     then evaluates the posterior moments once more at the final variances.
-    The state and moment records are built once, at the end.
+    The state and moment records are built once, at the end, and the
+    :class:`SolveTrace` from row 0 of the stack's :class:`StackTrace`.
     ``steering`` is passed on to :func:`solve_stack`.
 
     Returns
@@ -528,12 +575,16 @@ def solve(dictionary, stat, config: SolverConfig, keep_history: bool = False,
     """
     matrix = np.asarray(dictionary)
     ybar = _as_mean(stat)
-    if not np.all(np.isfinite(ybar)):
-        raise ValueError("snapshot mean contains non-finite entries")
     if matrix.shape[0] != ybar.size:
         raise ValueError("dictionary and statistic disagree on sensor count")
-    pv, mean, variance, excursion, (trace,) = solve_stack(
+    pv, mean, variance, excursion, stack_trace = solve_stack(
         matrix[None], ybar[None], config, keep_history, steering=steering)
+    trace = SolveTrace(
+        iterations=int(stack_trace.iterations[0]),
+        final_change=float(stack_trace.final_change[0]),
+        converged=bool(stack_trace.converged[0]),
+        worst_clamp_excursion=float(stack_trace.worst_clamp_excursion[0]),
+        history=stack_trace.histories[0] if keep_history else ())
     return (NuvState(prior_variances=pv[0], iteration=trace.iterations),
             PosteriorMoments(mean=mean[0], variance=variance[0],
                              clamp_excursion=float(excursion[0])),

@@ -313,19 +313,19 @@ def test_stack_matches_problems_solved_alone():
     means = np.stack([ybar for _, _, ybar in problems])
     final_pv, mean, variance, excursion, traces = solve_stack(
         matrices, means, cfg, keep_history=True)
-    assert len({trace.iterations for trace in traces}) > 1
+    assert len(set(traces.iterations)) > 1
     for i, (a, _, ybar) in enumerate(problems):
         state, moments, trace = solve(a, ybar, cfg, keep_history=True)
         npt.assert_array_equal(final_pv[i], state.prior_variances)
         npt.assert_array_equal(mean[i], moments.mean)
         npt.assert_array_equal(variance[i], moments.variance)
         assert excursion[i] == moments.clamp_excursion
-        assert traces[i].iterations == trace.iterations
-        assert traces[i].converged == trace.converged
-        assert traces[i].final_change == trace.final_change
-        assert traces[i].worst_clamp_excursion == trace.worst_clamp_excursion
-        assert len(traces[i].history) == trace.iterations + 1
-        for left, right in zip(traces[i].history, trace.history):
+        assert traces.iterations[i] == trace.iterations
+        assert traces.converged[i] == trace.converged
+        assert traces.final_change[i] == trace.final_change
+        assert traces.worst_clamp_excursion[i] == trace.worst_clamp_excursion
+        assert len(traces.histories[i]) == trace.iterations + 1
+        for left, right in zip(traces.histories[i], trace.history):
             npt.assert_array_equal(left, right)
 
 
@@ -346,8 +346,8 @@ def test_stack_starts_live_columns_at_init_and_padding_at_zero():
     final_pv, mean, variance, excursion, traces = solve_stack(
         matrices, np.broadcast_to(ybar, (3, 8)), cfg, keep_history=True)
     for i, (d, m) in enumerate(zip(dictionaries, widths)):
-        npt.assert_array_equal(traces[i].history[0][:m], 2.0)
-        npt.assert_array_equal(traces[i].history[0][m:], 0.0)
+        npt.assert_array_equal(traces.histories[i][0][:m], 2.0)
+        npt.assert_array_equal(traces.histories[i][0][m:], 0.0)
         assert not final_pv[i, m:].any()
         assert not mean[i, m:].any() and not variance[i, m:].any()
         state, moments, trace = solve(d, ybar, cfg, keep_history=True)
@@ -355,9 +355,94 @@ def test_stack_starts_live_columns_at_init_and_padding_at_zero():
         npt.assert_array_equal(mean[i, :m], moments.mean)
         npt.assert_array_equal(variance[i, :m], moments.variance)
         assert excursion[i] == moments.clamp_excursion
-        assert traces[i].iterations == trace.iterations
-        for left, right in zip(traces[i].history, trace.history):
+        assert traces.iterations[i] == trace.iterations
+        for left, right in zip(traces.histories[i], trace.history):
             npt.assert_array_equal(left[:m], right)
+
+
+def _scan_problem(bands: int, sigma2: float):
+    """A scan's band stack around a 10 dB source, its means and config."""
+    geom = UlaGeometry(16)
+    theta, fine = math.radians(10.3), math.radians(0.01)
+    plan = plan_subbands(theta - (bands // 2) * fine,
+                         theta + (bands - 1 - bands // 2) * fine, fine,
+                         math.radians(0.5))
+    scen = Scenario(geometry=geom, true_doas=(theta,), n_snapshots=100,
+                    snr_db=10.0)
+    ybar = snapshot_mean(simulate_snapshots(scen, seed=2)).mean
+    stack = band_stack(plan, geom)
+    return (stack, np.broadcast_to(ybar, (len(stack), 16)),
+            SolverConfig(sigma2=sigma2, n_snapshots=100))
+
+
+def test_steering_stack_trace_matches_problems_solved_alone():
+    """On the Toeplitz branch too, each entry of the trace arrays, and each
+    history, is the one the problem's own solve records."""
+    stack, means, cfg = _scan_problem(5, 0.03)
+    final_pv, _, _, _, traces = solve_stack(stack, means, cfg,
+                                            keep_history=True, steering=True)
+    assert len(set(traces.iterations)) == len(stack)
+    assert len(traces.histories) == len(stack)
+    for i in range(len(stack)):
+        state, _, trace = solve(stack[i], means[i], cfg, keep_history=True,
+                                steering=True)
+        npt.assert_array_equal(final_pv[i], state.prior_variances)
+        assert traces.iterations[i] == trace.iterations
+        assert traces.converged[i] == trace.converged
+        assert traces.final_change[i] == trace.final_change
+        assert traces.worst_clamp_excursion[i] == trace.worst_clamp_excursion
+        assert len(traces.histories[i]) == trace.iterations + 1
+        for left, right in zip(traces.histories[i], trace.history):
+            npt.assert_array_equal(left, right)
+
+
+def test_solve_without_history_keeps_none():
+    stack, means, cfg = _scan_problem(2, 300.0)
+    *_, traces = solve_stack(stack, means, cfg, steering=True)
+    assert traces.histories == ()
+    assert solve(stack[0], means[0], cfg, steering=True)[2].history == ()
+
+
+def test_band_stack_view_is_solved_without_a_copy(monkeypatch):
+    """``band_stack``'s sliding window reaches the sweep as it is, and gives
+    the results of a contiguous copy bit for bit."""
+    stack, means, cfg = _scan_problem(22, 300.0)
+    operands = []
+    moments = solver_mod._moments
+
+    def recording(transposed, *args):
+        operands.append(transposed)
+        return moments(transposed, *args)
+
+    monkeypatch.setattr(solver_mod, "_moments", recording)
+    viewed = solve_stack(stack, means, cfg, steering=True)
+    assert np.shares_memory(operands[0], stack)
+    operands.clear()
+    copied = solve_stack(np.array(stack), means, cfg, steering=True)
+    assert not np.shares_memory(operands[0], stack)
+    for left, right in zip(viewed[:4], copied[:4]):
+        npt.assert_array_equal(left, right)
+    for field in ("iterations", "final_change", "converged",
+                  "worst_clamp_excursion"):
+        npt.assert_array_equal(getattr(viewed[4], field),
+                               getattr(copied[4], field))
+
+
+@pytest.mark.parametrize("count", [1, 22])
+@pytest.mark.parametrize("n", [2, 3, 16])
+def test_diagonal_sums_match_their_definition(n, count):
+    """``c_0 = tr Q`` and ``c_d = 2 sum_k Q[k, k+d]``, for a whole stack."""
+    rng = np.random.default_rng(n * count)
+    roots = (rng.standard_normal((count, n, n))
+             + 1j * rng.standard_normal((count, n, n)))
+    precision = roots @ roots.conj().swapaxes(1, 2) + np.eye(n)
+    sums = solver_mod._diagonal_sums(precision)
+    assert sums.shape == (count, n)
+    for q, row in zip(precision, sums):
+        reference = np.array([np.trace(q, offset=d) * (1 if d == 0 else 2)
+                              for d in range(n)])
+        npt.assert_allclose(row, reference, rtol=0,
+                            atol=1e-13 * np.abs(reference).max())
 
 
 def test_zero_variance_columns_stay_zero_without_nan():
@@ -386,12 +471,12 @@ def test_zero_variance_columns_stay_zero_without_nan():
         assert not final_pv[zero].any()
         assert not mean[zero].any() and not variance[zero].any()
         assert all(np.isfinite(row).all() and not row[zero[1]].any()
-                   for row in traces[zero[0]].history)
+                   for row in traces.histories[zero[0]])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_nonfinite_mean_raises(bad):
-    """A non-finite statistic reaches the update as a non-finite variance."""
+    """A non-finite statistic is refused before the first sweep."""
     a = build_dictionary(build_grid(20), UlaGeometry(8))
     ybar = np.ones(8, dtype=complex)
     ybar[2] = bad
@@ -399,6 +484,22 @@ def test_nonfinite_mean_raises(bad):
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match="finite"):
             solve_stack(a[None], ybar[None], cfg)
+
+
+def test_overflowing_update_raises_numerical_error():
+    """A MacKay update that overflows from finite inputs is a numerical
+    failure (a flagged trial) naming its problem, not a ValueError."""
+    d = build_dictionary(build_grid(180), UlaGeometry(16))
+    cfg = SolverConfig(sigma2=1.0, n_snapshots=1)
+    with np.errstate(over="ignore"):
+        with pytest.raises(SolverNumericalError) as info:
+            solve(d, 1e200 * d[:, 40], cfg)
+        assert info.value.problems == (0,)
+        assert "not finite" in info.value.reason
+        with pytest.raises(SolverNumericalError) as info:
+            solve_stack(np.stack([d, d]),
+                        np.stack([d[:, 3], 1e200 * d[:, 40]]), cfg)
+        assert info.value.problems == (1,)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5])
