@@ -7,13 +7,12 @@ variances), then the MacKay variance update ``solver._mackay_update``.
 The shapes are those of the package's solves, all on 16 sensors:
 
 - ``16x3000``: the ``nuv_ssr_flat`` flat solve;
-- ``16x1801``: the sparse coarse solve below the SNR gate;
 - ``16x180``: the 2-degree grid of the solver tests and criterion 04;
 - ``22x16x101`` and ``12x16x101``: the sub-band stacks of the one- and
   two-source scans (0.01-degree step, 0.5-degree half width), built by
   ``subbands.band_stack`` as ``subbands.superres_scan`` builds them.
 
-The three flat dictionaries come from ``pipeline.full_azimuth_dictionary``,
+The two flat dictionaries come from ``pipeline.full_azimuth_dictionary``,
 as the package's solves get them: in the layout the stack loop reads
 without a copy, as it reads the band stacks' sliding-window views.  Every
 stack is a steering stack, as its producer tells the loop: each sweep
@@ -150,9 +149,9 @@ def main() -> None:
     if min(args.sweeps, args.rounds) < 1 or args.warmup < 0:
         parser.error("--sweeps and --rounds must be >= 1, --warmup >= 0")
     flat = {cells: full_azimuth_dictionary(cells, N_SENSORS)[1][None]
-            for cells in (3000, 1801, 180)}
-    shapes = (("16x3000", flat[3000]), ("16x1801", flat[1801]),
-              ("16x180", flat[180]), ("22x16x101", scan_stack(22)),
+            for cells in (3000, 180)}
+    shapes = (("16x3000", flat[3000]), ("16x180", flat[180]),
+              ("22x16x101", scan_stack(22)),
               ("12x16x101", scan_stack(12)))
     print(f"{'shape':<10} {'us/sweep':>9} {'fastest':>9} {'check us':>9} "
           f"{'solve us':>9} {'sweeps':>6}")

@@ -7,6 +7,7 @@ and work with the same steering convention as the rest of the package.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -35,7 +36,7 @@ def bartlett_spectrum(cov: np.ndarray, grid: AngleGrid) -> Spectrum:
     cov = _check_cov(cov)
     n = cov.shape[0]
     steering = steering_matrix(grid.values, UlaGeometry(n))
-    values = np.einsum("nm,nk,km->m", steering.conj(), cov, steering).real
+    values = np.einsum("nm,nm->m", steering.conj(), cov @ steering).real
     values = np.maximum(values / (n * n), 0.0)
     return Spectrum(values=values, grid=grid)
 
@@ -99,6 +100,17 @@ def music_spectrum(cov: np.ndarray, grid: AngleGrid, n_sources: int) -> Spectrum
     return Spectrum(values=values, grid=grid)
 
 
+@cache
+def _derivative_factors(n: int):
+    """``-1j*pi*idx`` and ``-(pi*idx)**2`` for ``idx = 0..n-1``: the factors
+    that turn a steering vector in ``u`` into its first two derivatives."""
+    idx = np.arange(n)
+    factors = (idx, -1j * math.pi * idx, -((math.pi * idx) ** 2))
+    for array in factors:
+        array.flags.writeable = False
+    return factors
+
+
 def _polish_subspace_min(projector: np.ndarray, u: float) -> float:
     """Newton-refine a minimizer of ||U_n^H a||^2 in the variable u = sin(theta).
 
@@ -106,12 +118,11 @@ def _polish_subspace_min(projector: np.ndarray, u: float) -> float:
     epsilon) because circle roots are double roots; a few Newton steps on
     the smooth objective recover it to full precision.
     """
-    n = projector.shape[0]
-    idx = np.arange(n)
+    idx, first, second = _derivative_factors(projector.shape[0])
     for _ in range(4):
         a = np.exp(-1j * math.pi * idx * u)
-        da = (-1j * math.pi * idx) * a
-        d2a = -((math.pi * idx) ** 2) * a
+        da = first * a
+        d2a = second * a
         ca = projector @ a
         cda = projector @ da
         slope = 2.0 * np.vdot(ca, da).real
@@ -121,7 +132,7 @@ def _polish_subspace_min(projector: np.ndarray, u: float) -> float:
         step = slope / curve
         if abs(step) > 0.05:
             step = math.copysign(0.05, step)
-        u = float(np.clip(u - step, -1.0, 1.0 - 1e-12))
+        u = float(min(max(u - step, -1.0), 1.0 - 1e-12))
     return u
 
 

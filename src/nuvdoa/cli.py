@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
@@ -147,10 +148,21 @@ def parse_config(raw: dict) -> ScenarioConfig:
         raise ConfigError(str(exc)) from exc
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, which follows YAML 1.1 and so reads ``1e4``
+    and ``1.0e4`` as strings, taught YAML 1.2's exponent form of a float."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+$"),
+    list("-+0123456789."))
+
+
 def load_config(path, args) -> ScenarioConfig:
     try:
         with open(path) as handle:
-            raw = yaml.safe_load(handle)
+            raw = yaml.load(handle, Loader=_ConfigLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:

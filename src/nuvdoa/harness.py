@@ -423,9 +423,8 @@ def calibrate_epsilon(config: ScenarioConfig):
         for i in range(config.trials):
             scenario, batch = simulate_trial(config, i, snr_db)
             try:
-                coarse = coarse_estimate(batch, config.k_sources, settings,
-                                         config.solver)
-            except (RootDeficitError, SolverNumericalError):
+                coarse = coarse_estimate(batch, config.k_sources, settings)
+            except RootDeficitError:
                 continue
             errors, _ = match_and_score(np.degrees(coarse.angles),
                                         np.degrees(scenario.true_doas))

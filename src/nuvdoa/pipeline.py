@@ -1,12 +1,12 @@
 """Hierarchical multi-source estimation: coarse fix, cancel, refine.
 
-For each source the pipeline first locates all sources coarsely (a
-covariance polynomial estimator at comfortable SNR, the sparse solver on a
-coarse full-azimuth grid otherwise), then subtracts the least-squares fit
+For each source the pipeline first locates all sources coarsely with
+root-MUSIC on the sample covariance, then subtracts the least-squares fit
 of the other sources' steering vectors from the snapshot mean, and finally
 runs the sub-band scan on a window around the source's coarse angle whose
 width comes from a calibrated table of coarse error standard deviations.
-The module also reads and writes the files of both calibration tables.
+The module also reads and writes the files of both calibration tables, and
+builds the full-azimuth dictionaries of the flat sparse solve.
 """
 
 from __future__ import annotations
@@ -30,13 +30,12 @@ from .arrays import (
     snapshot_mean,
     steering_matrix,
 )
-from .baselines import RootDeficitError, root_music
+from .baselines import root_music
 from .solver import (
     SolverConfig,
     SolverSettings,
-    select_peaks,
-    solve,
-    spectrum,
+    select_peaks,  # noqa: F401  (kept: perfbench/tracing.py wraps this name)
+    solve,  # noqa: F401  (kept: perfbench/tracing.py wraps this name)
 )
 from .subbands import plan_subbands, superres_scan
 
@@ -188,8 +187,6 @@ class PipelineSettings:
     trial's true SNR before the pipeline sees it.
     """
 
-    snr_gate_db: float = 7.0
-    coarse_cells: int = 1801
     fine_step_deg: float = 0.01
     half_width_deg: float = 0.5
     known_snr: float | Literal["scenario"] | None = None
@@ -197,24 +194,22 @@ class PipelineSettings:
     def __post_init__(self):
         fine_step = math.radians(self.fine_step_deg)
         half_width = math.radians(self.half_width_deg)
-        if self.coarse_cells < 2:
-            raise ValueError("coarse grid needs at least 2 cells")
         if not math.isfinite(self.half_width_deg):
             raise ValueError("half_width_deg must be finite")
         if fine_step <= 0 or half_width < fine_step:
             raise ValueError("need 0 < fine_step <= half_width")
-        if math.pi / self.coarse_cells <= fine_step:
-            raise ValueError("coarse grid step must exceed the fine step")
 
 
 @dataclass(frozen=True)
 class CoarseEstimate:
-    """Output of the coarse stage, sorted ascending."""
+    """Output of the coarse stage, sorted ascending.
+
+    ``method`` is always ``"root_music"``; perfbench/tracing.py reads it.
+    """
 
     angles: np.ndarray
     method: str
     effective_snr_db: float
-    flags: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -268,41 +263,23 @@ def full_azimuth_dictionary(m_cells: int, n_sensors: int):
 
 
 def coarse_estimate(batch: SnapshotBatch, n_sources: int,
-                    settings: PipelineSettings,
-                    solver: SolverSettings) -> CoarseEstimate:
-    """Locate all sources coarsely.
+                    settings: PipelineSettings) -> CoarseEstimate:
+    """Locate all sources coarsely: root-MUSIC on the sample covariance.
 
-    Uses the covariance polynomial estimator when the effective SNR clears
-    the gate, otherwise (or when rooting comes up short) the sparse solver
-    on a coarse full-azimuth grid with fixed-count peak picking.
+    The effective SNR is the declared ``settings.known_snr``, else the
+    estimate from the covariance's eigenvalue floor; it sizes the
+    refinement windows and the solver noise floor.  A ``RootDeficitError``
+    from root-MUSIC propagates to the caller.
     """
-    geometry = UlaGeometry(batch.n_sensors)
-    if not 1 <= n_sources < geometry.n_sensors:
+    if not 1 <= n_sources < batch.n_sensors:
         raise ValueError("n_sources must be positive and below the sensor count")
     cov = sample_covariance(batch)
     if settings.known_snr is not None:
         effective = settings.known_snr
     else:
         effective = estimate_effective_snr(cov)
-    flags = []
-    if effective >= settings.snr_gate_db:
-        try:
-            angles = root_music(cov, n_sources)
-            return CoarseEstimate(angles=angles, method="root_music",
-                                  effective_snr_db=effective)
-        except RootDeficitError:
-            flags.append("root_deficit_fallback")
-    grid, dictionary = full_azimuth_dictionary(settings.coarse_cells,
-                                               geometry.n_sensors)
-    stat = snapshot_mean(batch)
-    solver_cfg = solver.solver_config(batch.n_snapshots,
-                                      resolve_sigma2(solver, effective))
-    _, moments, _ = solve(dictionary, stat, solver_cfg, steering=True)
-    peaks = select_peaks(spectrum(moments, grid), n_sources)
-    if peaks.fallback_filled:
-        flags.append("peak_fallback_filled")
-    return CoarseEstimate(angles=np.sort(peaks.angles), method="nuv_coarse",
-                          effective_snr_db=effective, flags=tuple(flags))
+    return CoarseEstimate(angles=root_music(cov, n_sources), method="root_music",
+                          effective_snr_db=effective)
 
 
 def cancel_interference(stat: SufficientStatistic, coarse_angles,
@@ -361,14 +338,14 @@ def estimate_multisource(batch: SnapshotBatch, n_sources: int,
                          settings: PipelineSettings, solver: SolverSettings):
     """Full hierarchical run; returns sorted angles and the trace."""
     geometry = UlaGeometry(batch.n_sensors)
-    coarse = coarse_estimate(batch, n_sources, settings, solver)
+    coarse = coarse_estimate(batch, n_sources, settings)
     epsilon = resolve_epsilon(coarse.effective_snr_db)
     solver_cfg = solver.solver_config(
         batch.n_snapshots, resolve_sigma2(solver, coarse.effective_snr_db))
     stat = snapshot_mean(batch)
     refined = np.empty(n_sources)
     windows = []
-    flags = list(coarse.flags)
+    flags = []
     for index in range(n_sources):
         residual, cancel_flags = cancel_interference(
             stat, coarse.angles, index, geometry)

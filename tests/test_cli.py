@@ -45,7 +45,7 @@ class TestParseConfig:
         assert config.trials == 100
         assert config.doa_sampling.kind == "uniform_range"
         assert config.solver.sigma2 is None
-        assert config.pipeline.snr_gate_db == 7.0
+        assert config.pipeline.known_snr is None
 
     def test_nested_sections_land_in_dataclasses(self):
         config = parse_config({
@@ -53,14 +53,14 @@ class TestParseConfig:
             "snr_sweep": [0.0, 10.0],
             "scenario": {"k_sources": 2, "n_snapshots": 50},
             "solver": {"sigma2": 3.0},
-            "pipeline": {"known_snr": "scenario", "coarse_cells": 901},
+            "pipeline": {"known_snr": "scenario", "half_width_deg": 0.25},
         })
         assert config.method_list == ("music", "mvdr")
         assert config.snr_list == (0.0, 10.0)
         assert config.k_sources == 2
         assert config.solver.sigma2 == 3.0
         assert config.pipeline.known_snr == "scenario"
-        assert config.pipeline.coarse_cells == 901
+        assert config.pipeline.half_width_deg == 0.25
 
     def test_rejects_unknown_schema_version(self):
         with pytest.raises(ConfigError, match="schema_version"):
@@ -167,6 +167,23 @@ class TestLoadConfig:
         args = argparse.Namespace(seed=None)
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.yaml", args)
+
+    @pytest.mark.parametrize("line, read, value", [
+        ("solver: {sigma2: 1e4}", lambda c: c.solver.sigma2, 1e4),
+        ("solver: {sigma2: 1.0e4}", lambda c: c.solver.sigma2, 1e4),
+        ("solver: {tolerance: 1e-6}", lambda c: c.solver.tolerance, 1e-6),
+        ("snr_sweep: [1e1]", lambda c: c.snr_sweep, (10.0,)),
+    ], ids=["1e4", "1.0e4", "1e-6", "list-1e1"])
+    def test_exponent_numbers_are_floats(self, tmp_path, line, read, value):
+        path = tmp_path / "config.yaml"
+        path.write_text(line + "\n")
+        assert read(load_config(path, argparse.Namespace(seed=None))) == value
+
+    def test_quoted_exponent_stays_a_string(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text('solver: {sigma2: "1e4"}\n')
+        with pytest.raises(ConfigError, match="solver.sigma2 must be a number"):
+            load_config(path, argparse.Namespace(seed=None))
 
     def test_invalid_yaml_is_config_error(self, tmp_path):
         path = tmp_path / "broken.yaml"
@@ -319,7 +336,11 @@ class TestExitCodes:
         ({"pipeline": {"half_width_deg": float("inf")}},
          "half_width_deg must be finite"),
         ({"pipeline": {"fine_step_deg": 0}}, "need 0 < fine_step <= half_width"),
-        ({"pipeline": {"coarse_cells": 1}}, "coarse grid needs at least 2 cells"),
+        # The ids of this case and of overrides13 and overrides23 name the
+        # checks these keys had before the keys were removed.
+        pytest.param({"pipeline": {"coarse_cells": 1}},
+                     "unknown config key 'pipeline.coarse_cells'",
+                     id="overrides3-coarse grid needs at least 2 cells"),
         ({"solver": {"max_iterations": 0}}, "max_iterations must be positive"),
         ({"solver": {"max_iteration": 50}}, "unknown config key 'solver.max_iteration'"),
         ({"doa_sampling": {"kind": "fixed", "angles_deg": [1.0, 2.0]}},
@@ -333,7 +354,9 @@ class TestExitCodes:
         ({"trials": "5"}, "trials must be an integer"),
         ({"pipeline": {"known_snr": "scenaro"}},
          "pipeline.known_snr must be a number, 'scenario' or null"),
-        ({"pipeline": {"snr_gate_db": "seven"}}, "pipeline.snr_gate_db must be a number"),
+        pytest.param({"pipeline": {"snr_gate_db": "seven"}},
+                     "unknown config key 'pipeline.snr_gate_db'",
+                     id="overrides13-pipeline.snr_gate_db must be a number"),
         ({"snr_sweep": [0.0, "ten"]}, "snr_sweep[1] must be a number"),
         ({"methods": "music"}, "methods must be a list"),
         ({"scenario": {"source_model": "coherant"}}, "unknown source model 'coherant'"),
@@ -344,8 +367,9 @@ class TestExitCodes:
         ({"solver": {"sigma2": float("inf")}}, "sigma2 must be positive and finite"),
         ({"pipeline": {"fine_step_deg": float("nan")}},
          "pipeline.fine_step_deg must be a number"),
-        ({"pipeline": {"snr_gate_db": float("nan")}},
-         "pipeline.snr_gate_db must be a number"),
+        pytest.param({"pipeline": {"snr_gate_db": float("nan")}},
+                     "unknown config key 'pipeline.snr_gate_db'",
+                     id="overrides23-pipeline.snr_gate_db must be a number"),
         ({"pipeline": {"known_snr": float("nan")}},
          "pipeline.known_snr must be a number, 'scenario' or null"),
         ({"snr_sweep": [0.0, float("nan")]}, "snr_sweep[1] must be a number"),

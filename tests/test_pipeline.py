@@ -16,11 +16,13 @@ from nuvdoa.arrays import (
     UlaGeometry,
     build_dictionary,
     build_grid,
+    sample_covariance,
     simulate_snapshots,
     snapshot_mean,
     steering_vector,
 )
-from nuvdoa.baselines import RootDeficitError
+from nuvdoa.baselines import RootDeficitError, root_music
+from nuvdoa.cli import main
 from nuvdoa.pipeline import (
     TABLE_SCHEMA_VERSION,
     ErrorStdTable,
@@ -41,7 +43,7 @@ from nuvdoa.pipeline import (
     resolve_sigma2,
     sigma2_table_from_payload,
 )
-from nuvdoa.harness import ScenarioConfig, _nuv_ssr_flat
+from nuvdoa.harness import ScenarioConfig, _nuv_ssr_flat, run_trial
 from nuvdoa.solver import SolverSettings, solve
 
 GEOM = UlaGeometry(16)
@@ -188,10 +190,6 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineSettings(fine_step_deg=0.5, half_width_deg=0.1)
 
-    def test_rejects_coarse_step_at_or_below_fine_step(self):
-        with pytest.raises(ValueError):
-            PipelineSettings(coarse_cells=100000)
-
     def test_explicit_sigma2_wins_over_table(self):
         assert load_default_sigma2_table().sigma2_for(0.0) != 5.0
         assert resolve_sigma2(SolverSettings(sigma2=5.0), 0.0) == 5.0
@@ -206,34 +204,43 @@ class TestCoarseEstimate:
     def test_high_snr_takes_root_path_and_is_tight(self):
         # noiseless single source: covariance rooting is essentially exact
         batch = _batch([20.0], n_snapshots=8, snr_db=np.inf, seed=0)
-        ce = coarse_estimate(batch, 1, PipelineSettings(known_snr=30.0), SolverSettings())
+        ce = coarse_estimate(batch, 1, PipelineSettings(known_snr=30.0))
         assert ce.method == "root_music"
         assert abs(ce.angles[0] - np.radians(20.0)) < 1e-6
 
-    def test_low_declared_snr_takes_sparse_path(self):
-        batch = _batch([20.0], n_snapshots=100, snr_db=20.0, seed=1)
-        ce = coarse_estimate(batch, 1, PipelineSettings(known_snr=0.0),
-                             SolverSettings(sigma2=1.0))
-        assert ce.method == "nuv_coarse"
-        assert abs(np.degrees(ce.angles[0]) - 20.0) < 0.5
+    def test_every_snr_takes_root_music(self):
+        """Declared SNRs from -10 to 30 dB, and an estimated SNR on an
+        L < N batch, all give root-MUSIC's angles bit for bit."""
+        batch = _batch([20.0, 35.0], n_snapshots=100, snr_db=0.0, seed=1)
+        few = _batch([20.0, 35.0], n_snapshots=8, snr_db=0.0, seed=1)
+        for known_snr, cell in [(-10.0, batch), (0.0, batch), (6.9, batch),
+                                (7.0, batch), (30.0, batch), (None, few)]:
+            ce = coarse_estimate(cell, 2, PipelineSettings(known_snr=known_snr))
+            reference = root_music(sample_covariance(cell), 2)
+            assert ce.angles.tobytes() == reference.tobytes()
+            assert ce.method == "root_music"
+        assert ce.effective_snr_db == estimate_effective_snr(
+            sample_covariance(few))
 
-    def test_root_deficit_falls_back_flagged(self, monkeypatch):
+    def test_root_deficit_falls_back_flagged(self, monkeypatch, tmp_path, capsys):
         def broken(cov, n_sources):
             raise RootDeficitError("no admissible roots")
 
         monkeypatch.setattr(pipeline_mod, "root_music", broken)
-        batch = _batch([10.0], n_snapshots=100, snr_db=20.0, seed=2)
-        ce = coarse_estimate(batch, 1, PipelineSettings(known_snr=20.0),
-                             SolverSettings(sigma2=1.0))
-        assert ce.method == "nuv_coarse"
-        assert "root_deficit_fallback" in ce.flags
+        config = ScenarioConfig(trials=1, seed=2)
+        record = run_trial(config, 0)
+        assert record.estimates_deg is None
+        assert record.flags == ("root_deficit",)
+        path = tmp_path / "config.yaml"
+        path.write_text("trials: 1\nseed: 2\n")
+        assert main(["estimate", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["flags"] == ["root_deficit"]
 
     def test_two_sources_at_pm30_within_half_degree(self):
         worst = []
         for seed in range(20):
             batch = _batch([-30.0, 30.0], n_snapshots=100, snr_db=20.0, seed=seed)
-            ce = coarse_estimate(batch, 2, PipelineSettings(known_snr=20.0),
-                                 SolverSettings())
+            ce = coarse_estimate(batch, 2, PipelineSettings(known_snr=20.0))
             err = np.degrees(np.abs(np.sort(ce.angles) - np.radians([-30.0, 30.0])))
             worst.append(err.max())
         assert np.percentile(worst, 95) < 0.5
@@ -241,9 +248,9 @@ class TestCoarseEstimate:
     def test_source_count_validated(self):
         batch = _batch([0.0], n_snapshots=4, snr_db=10.0, seed=0)
         with pytest.raises(ValueError):
-            coarse_estimate(batch, 0, PipelineSettings(), SolverSettings())
+            coarse_estimate(batch, 0, PipelineSettings())
         with pytest.raises(ValueError):
-            coarse_estimate(batch, 16, PipelineSettings(), SolverSettings())
+            coarse_estimate(batch, 16, PipelineSettings())
 
 
 class TestFullAzimuthDictionary:
@@ -271,24 +278,17 @@ class TestFullAzimuthDictionary:
         batch = _batch([20.0], n_snapshots=100, snr_db=0.0, seed=3)
         config = ScenarioConfig(method="nuv_ssr_flat", snr_db=0.0)
 
-        def estimates():
-            flat = _nuv_ssr_flat(batch, config, 0.0)
-            coarse = coarse_estimate(batch, 1, PipelineSettings(known_snr=0.0),
-                                     SolverSettings(sigma2=1.0))
-            assert coarse.method == "nuv_coarse"
-            return flat.values.tobytes(), coarse.angles.tobytes()
-
         full_azimuth_dictionary.cache_clear()
-        miss = estimates()
-        assert full_azimuth_dictionary.cache_info().misses == 2
-        assert estimates() == miss
-        assert full_azimuth_dictionary.cache_info().hits == 2
+        miss = _nuv_ssr_flat(batch, config, 0.0).values.tobytes()
+        assert full_azimuth_dictionary.cache_info().misses == 1
+        assert _nuv_ssr_flat(batch, config, 0.0).values.tobytes() == miss
+        assert full_azimuth_dictionary.cache_info().hits == 1
         # The flat estimate is the one a per-call build gives.
         grid = build_grid(config.flat_grid_cells)
         sigma2 = resolve_sigma2(config.solver, 0.0)
         _, moments, _ = solve(build_dictionary(grid, GEOM), snapshot_mean(batch),
                               config.solver_config(sigma2))
-        assert np.abs(moments.mean).tobytes() == miss[0]
+        assert np.abs(moments.mean).tobytes() == miss
 
 
 class TestCancelInterference:
@@ -419,7 +419,7 @@ class TestEstimateMultisource:
         cfg = PipelineSettings(known_snr=12.0)
         solver = SolverSettings(sigma2=1.0)
         est, trace = estimate_multisource(batch, 1, cfg, solver)
-        coarse = coarse_estimate(batch, 1, cfg, solver)
+        coarse = coarse_estimate(batch, 1, cfg)
         eps = resolve_epsilon(coarse.effective_snr_db)
         angle, _ = refine_source(
             snapshot_mean(batch), float(coarse.angles[0]), eps, cfg,

@@ -20,22 +20,15 @@ from nuvdoa.arrays import (
     steering_matrix,
 )
 import nuvdoa.harness as harness_mod
-import nuvdoa.pipeline as pipeline_mod
 import nuvdoa.solver as solver_mod
 import nuvdoa.subbands as subbands_mod
 from nuvdoa.harness import ScenarioConfig
-from nuvdoa.pipeline import (
-    PipelineSettings,
-    coarse_estimate,
-    full_azimuth_dictionary,
-    load_default_sigma2_table,
-)
+from nuvdoa.pipeline import full_azimuth_dictionary, load_default_sigma2_table
 from nuvdoa.solver import (
     NuvState,
     PosteriorMoments,
     SolverConfig,
     SolverNumericalError,
-    SolverSettings,
     Spectrum,
     _is_ula_stack,
     posterior_moments,
@@ -769,17 +762,12 @@ def _producers():
     return {
         "nuv_ssr_flat": (harness_mod, "solve", lambda: harness_mod._nuv_ssr_flat(
             batch, flat_config, 0.0).values),
-        # known_snr 0 dB is below the 7 dB gate: the sparse coarse path.
-        "coarse_estimate": (pipeline_mod, "solve", lambda: coarse_estimate(
-            batch, 1, PipelineSettings(known_snr=0.0),
-            SolverSettings(sigma2=1.0)).angles),
         "superres_scan": (subbands_mod, "solve_stack", lambda: superres_scan(
             plan, snapshot_mean(batch), cfg, UlaGeometry(16)).values),
     }
 
 
-@pytest.mark.parametrize("producer", ["nuv_ssr_flat", "coarse_estimate",
-                                      "superres_scan"])
+@pytest.mark.parametrize("producer", ["nuv_ssr_flat", "superres_scan"])
 def test_producers_declare_steering_and_skip_the_check(monkeypatch, producer):
     """Each producer's result is the one a ``steering=None`` solve of the
     same stacks gives, bit for bit, and it never runs the check."""
@@ -876,4 +864,4 @@ def test_sweep_cost_script_runs(monkeypatch, capsys):
                                       "--rounds", "1", "--warmup", "1"])
     script.main()
     rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
-    assert rows == ["16x3000", "16x1801", "16x180", "22x16x101", "12x16x101"]
+    assert rows == ["16x3000", "16x180", "22x16x101", "12x16x101"]
