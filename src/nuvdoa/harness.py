@@ -1,11 +1,11 @@
-"""Monte-Carlo benchmark harness: scenario configs, trials, sweeps, calibration.
+"""Monte-Carlo benchmark harness: scenario configs, trials, sweeps, scoring.
 
 Angles cross this boundary in degrees; everything handed to the estimation
 modules is converted to radians first, except the solver and pipeline
-settings, which keep config-file units and are converted where they are used.  A trial is a pure function of
-(config, trial_index): the trial seed is ``config.seed + trial_index``, the
-direction draw uses an rng derived from that seed, and the same seed drives
-the snapshot simulation.
+settings, which keep config-file units and are converted where they are
+used.  A trial is a pure function of (config, trial_index): the trial seed
+is ``config.seed + trial_index``, the direction draw uses an rng derived
+from that seed, and the same seed drives the snapshot simulation.
 """
 
 from __future__ import annotations
@@ -35,10 +35,7 @@ from .baselines import (
     root_music,
 )
 from .pipeline import (
-    ErrorStdTable,
     PipelineSettings,
-    Sigma2Table,
-    coarse_estimate,
     estimate_multisource,
     full_azimuth_dictionary,
     resolve_sigma2,
@@ -403,65 +400,3 @@ def run_sweep(config: ScenarioConfig):
     return [run_cell(config, method, snr)
             for method in config.method_list for snr in config.snr_list]
 
-
-def calibrate_epsilon(config: ScenarioConfig):
-    """Coarse-stage error std (degrees) per sweep SNR.
-
-    A trial counts as successful when every coarse error is below the
-    detection threshold; the std is taken over successful errors only, and
-    entries backed by fewer than 30 successes are flagged.
-    Returns (ErrorStdTable, per-entry flag tuples).
-    """
-    if not config.snr_list:
-        raise ValueError("calibration needs at least one SNR point")
-    snrs = []
-    epsilons = []
-    entry_flags = []
-    for snr_db in config.snr_list:
-        good = []
-        settings = config.pipeline_settings(snr_db)
-        for i in range(config.trials):
-            scenario, batch = simulate_trial(config, i, snr_db)
-            try:
-                coarse = coarse_estimate(batch, config.k_sources, settings)
-            except RootDeficitError:
-                continue
-            errors, _ = match_and_score(np.degrees(coarse.angles),
-                                        np.degrees(scenario.true_doas))
-            if all(abs(e) < config.detection_threshold_deg for e in errors):
-                good.extend(errors)
-        snrs.append(snr_db)
-        if len(good) >= 2:
-            epsilons.append(max(float(np.std(good)), 1e-6))
-        else:
-            epsilons.append(1.0)
-        entry_flags.append(("low_confidence",) if len(good) < 30 else ())
-    table = ErrorStdTable(snrs_db=tuple(snrs), epsilons_deg=tuple(epsilons))
-    return table, tuple(entry_flags)
-
-
-def calibrate_sigma2(config: ScenarioConfig, candidates):
-    """Pick the RMSE-minimizing solver noise floor per sweep SNR.
-
-    Ties resolve toward the smaller candidate.  Returns a Sigma2Table.
-    """
-    if not candidates:
-        raise ValueError("need at least one candidate")
-    ordered = sorted(float(c) for c in candidates)
-    snrs = []
-    chosen = []
-    for snr_db in config.snr_list:
-        best = None
-        best_rmse = None
-        for cand in ordered:
-            cfg = replace(config, solver=replace(config.solver, sigma2=cand))
-            records = [run_trial(cfg, i, method="nuv_ssr_flat", snr_db=snr_db)
-                       for i in range(config.trials)]
-            agg = aggregate(records, config.detection_threshold_deg)
-            rmse = agg.rmse_deg if agg.rmse_deg is not None else math.inf
-            if best_rmse is None or rmse < best_rmse:
-                best_rmse = rmse
-                best = cand
-        snrs.append(snr_db)
-        chosen.append(best)
-    return Sigma2Table(snrs_db=tuple(snrs), sigma2s=tuple(chosen))

@@ -4,9 +4,10 @@ For each source the pipeline first locates all sources coarsely with
 root-MUSIC on the sample covariance, then subtracts the least-squares fit
 of the other sources' steering vectors from the snapshot mean, and finally
 runs the sub-band scan on a window around the source's coarse angle whose
-width comes from a calibrated table of coarse error standard deviations.
-The module also reads and writes the files of both calibration tables, and
-builds the full-azimuth dictionaries of the flat sparse solve.
+width comes from a packaged table of coarse error standard deviations.
+The module also reads both packaged tables, window width and solver noise
+floor by SNR, and builds the full-azimuth dictionaries of the flat sparse
+solve.
 """
 
 from __future__ import annotations
@@ -41,17 +42,15 @@ from .subbands import plan_subbands, superres_scan
 
 _FALLBACK_EPSILON_DEG = 1.0
 
-# Version of the epsilon and sigma2 table files, apart from the report files'.
-TABLE_SCHEMA_VERSION = 1
-
 
 @dataclass(frozen=True)
 class ErrorStdTable:
     """Coarse-error standard deviation (degrees) per SNR point.
 
     Lookups interpolate linearly between the tabulated SNR points.  Outside
-    the tabulated range the conservative 1 deg fallback applies, except for
-    single-entry tables which always answer with their entry.
+    the tabulated range, which includes the +-inf that
+    :func:`estimate_effective_snr` can return, the conservative 1 deg
+    fallback applies.
     """
 
     snrs_db: tuple
@@ -60,8 +59,8 @@ class ErrorStdTable:
     def __post_init__(self):
         snrs = tuple(float(s) for s in self.snrs_db)
         eps = tuple(float(e) for e in self.epsilons_deg)
-        if len(snrs) != len(eps):
-            raise ValueError("table columns differ in length")
+        if len(snrs) != len(eps) or len(snrs) == 0:
+            raise ValueError("table must have matching, nonempty columns")
         if any(e <= 0 for e in eps):
             raise ValueError("error std must be positive")
         if list(snrs) != sorted(set(snrs)):
@@ -71,11 +70,7 @@ class ErrorStdTable:
 
     def epsilon_for(self, snr_db: float) -> float:
         """Window half-scale (radians) for a coarse estimate at this SNR."""
-        if len(self.snrs_db) == 0:
-            eps_deg = _FALLBACK_EPSILON_DEG
-        elif len(self.snrs_db) == 1:
-            eps_deg = self.epsilons_deg[0]
-        elif snr_db < self.snrs_db[0] or snr_db > self.snrs_db[-1]:
+        if snr_db < self.snrs_db[0] or snr_db > self.snrs_db[-1]:
             eps_deg = _FALLBACK_EPSILON_DEG
         else:
             eps_deg = float(np.interp(snr_db, self.snrs_db, self.epsilons_deg))
@@ -106,64 +101,25 @@ class Sigma2Table:
         return float(10.0 ** np.interp(snr_db, self.snrs_db, log_values))
 
 
-def _load_packaged(name: str) -> dict:
+# The packaged files under nuvdoa/data were made by an earlier solver and
+# cannot be regenerated; they are the only source of both tables.
+def _packaged_entries(name: str) -> list:
     with resources.files("nuvdoa.data").joinpath(name).open() as handle:
-        return json.load(handle)
-
-
-def _dump_table(description: str, entries: list, path) -> None:
-    payload = {"schema_version": TABLE_SCHEMA_VERSION,
-               "description": description, "entries": entries}
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-
-def error_table_from_payload(payload: dict) -> ErrorStdTable:
-    """An ErrorStdTable from a parsed ``{"entries": [...]}`` table file."""
-    entries = payload["entries"]
-    return ErrorStdTable(
-        snrs_db=tuple(e["snr_db"] for e in entries),
-        epsilons_deg=tuple(e["epsilon_deg"] for e in entries),
-    )
-
-
-def dump_error_table(table: ErrorStdTable, path, entry_flags=None) -> None:
-    """Write an epsilon table file; a nonempty ``entry_flags[i]`` is kept
-    as entry i's ``flags`` list."""
-    entries = []
-    for i, (snr, eps) in enumerate(zip(table.snrs_db, table.epsilons_deg)):
-        entry = {"snr_db": snr, "epsilon_deg": eps}
-        if entry_flags and entry_flags[i]:
-            entry["flags"] = list(entry_flags[i])
-        entries.append(entry)
-    _dump_table("coarse-stage error std (degrees) by SNR", entries, path)
-
-
-def sigma2_table_from_payload(payload: dict) -> Sigma2Table:
-    """A Sigma2Table from a parsed ``{"entries": [...]}`` table file."""
-    entries = payload["entries"]
-    return Sigma2Table(
-        snrs_db=tuple(e["snr_db"] for e in entries),
-        sigma2s=tuple(e["sigma2"] for e in entries),
-    )
-
-
-def dump_sigma2_table(table: Sigma2Table, path) -> None:
-    """Write a sigma2 table file."""
-    _dump_table("solver noise floor by SNR",
-                [{"snr_db": s, "sigma2": v}
-                 for s, v in zip(table.snrs_db, table.sigma2s)], path)
+        return json.load(handle)["entries"]
 
 
 @cache
 def load_default_error_table() -> ErrorStdTable:
-    return error_table_from_payload(_load_packaged("epsilon_table.json"))
+    entries = _packaged_entries("epsilon_table.json")
+    return ErrorStdTable(snrs_db=tuple(e["snr_db"] for e in entries),
+                         epsilons_deg=tuple(e["epsilon_deg"] for e in entries))
 
 
 @cache
 def load_default_sigma2_table() -> Sigma2Table:
-    return sigma2_table_from_payload(_load_packaged("sigma2_table.json"))
+    entries = _packaged_entries("sigma2_table.json")
+    return Sigma2Table(snrs_db=tuple(e["snr_db"] for e in entries),
+                       sigma2s=tuple(e["sigma2"] for e in entries))
 
 
 def resolve_sigma2(solver: SolverSettings, snr_db: float) -> float:

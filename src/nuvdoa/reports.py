@@ -1,9 +1,11 @@
 """Report files: line-delimited trial records, summary CSV, spectrum CSV.
 
 A report file is one JSON header line (cell metadata plus aggregates)
-followed by one JSON line per trial.  Loading recomputes the aggregates
-from the records and refuses files where they disagree beyond 1e-12, so a
-report can always be trusted to match its own data.
+followed by one JSON line per trial.  Loading refuses a file of another
+schema version, one whose trial count differs from its number of records,
+and one whose stored aggregates disagree with those recomputed from the
+records beyond 1e-12, so a report can always be trusted to match its own
+data.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ SUMMARY_COLUMNS = ("method", "snr_db", "L", "K", "trials", "rmse_deg",
 
 
 class ReportIntegrityError(ValueError):
-    """A loaded report's stored aggregates disagree with its records."""
+    """A loaded report's header disagrees with its records or this schema."""
 
 
 def dump_report(report: RunReport, path) -> None:
@@ -78,11 +80,19 @@ def load_report(path) -> RunReport:
         if first is None:
             raise ReportIntegrityError(f"{path}: empty report")
         header = json.loads(first)
+        if header.get("schema_version") != SCHEMA_VERSION:
+            raise ReportIntegrityError(
+                f"{path}: schema_version {header.get('schema_version')!r}, "
+                f"expected {SCHEMA_VERSION}")
         records = []
         values = {}
         for line in lines:
             values = _record_fields(line, values)
             records.append(TrialRecord(**values))
+    if header["trials"] != len(records):
+        raise ReportIntegrityError(
+            f"{path}: header says {header['trials']} trials, "
+            f"file holds {len(records)} records")
     detection_threshold_deg = header["detection_threshold_deg"]
     stored = header["aggregates"]
     recomputed = aggregate(records, detection_threshold_deg)

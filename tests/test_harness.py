@@ -1,22 +1,17 @@
-"""Monte-Carlo harness tests: sampling, scoring, trials, calibration."""
+"""Monte-Carlo harness tests: sampling, scoring, trials, sweeps."""
 
 import math
-from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
 import pytest
-from scipy.stats import spearmanr
 
 from nuvdoa.harness import (
     DoaSampling,
     PipelineSettings,
     ScenarioConfig,
-    SolverSettings,
     TrialRecord,
     aggregate,
-    calibrate_epsilon,
-    calibrate_sigma2,
     match_and_score,
     run_cell,
     run_sweep,
@@ -311,89 +306,3 @@ class TestRunSweep:
         assert cells[100].rmse_deg < cells[2].rmse_deg
         assert cells[2].detection_rate == 1.0
         assert cells[100].detection_rate == 1.0
-
-
-class TestCalibrateEpsilon:
-    def test_noiseless_point_bounded_by_grid_quantization(self):
-        cfg = _config(trials=35, seed=9, snr_sweep=(100.0,),
-                      pipeline=PipelineSettings(known_snr="scenario"))
-        table, entry_flags = calibrate_epsilon(cfg)
-        assert np.degrees(table.epsilon_for(100.0)) <= 0.1 / math.sqrt(12) + 0.01
-        assert entry_flags == ((),)
-
-    def test_epsilon_decreases_with_snr(self):
-        cfg = _config(trials=60, seed=9,
-                      snr_sweep=(8.0, 10.0, 12.0, 16.0, 20.0),
-                      pipeline=PipelineSettings(known_snr="scenario"))
-        table, _ = calibrate_epsilon(cfg)
-        rho = spearmanr(table.snrs_db, table.epsilons_deg).statistic
-        assert rho < 0.0
-
-    def test_empty_sweep_raises(self):
-        class NoSweepConfig(ScenarioConfig):
-            @property
-            def snr_list(self):
-                return ()
-
-        cfg = NoSweepConfig(trials=1)
-        with pytest.raises(ValueError, match="SNR"):
-            calibrate_epsilon(cfg)
-
-    def test_scarce_successes_marked_low_confidence(self):
-        cfg = _config(trials=5, seed=9, snr_sweep=(100.0,),
-                      pipeline=PipelineSettings(known_snr="scenario"))
-        _, entry_flags = calibrate_epsilon(cfg)
-        assert entry_flags == (("low_confidence",),)
-
-
-class TestCalibrateSigma2:
-    TIE_CONFIG = dict(
-        k_sources=1, n_sensors=16, n_snapshots=8, snr_db=np.inf,
-        trials=3, seed=5,
-        doa_sampling=DoaSampling(kind="fixed", angles_deg=(9.0,)),
-        solver=SolverSettings(max_iterations=60),
-        flat_grid_cells=600,
-    )
-
-    def test_single_candidate_returned(self):
-        cfg = ScenarioConfig(**{**self.TIE_CONFIG, "trials": 2})
-        table = calibrate_sigma2(cfg, candidates=(50.0,))
-        assert table.sigma2s == (50.0,)
-        assert table.snrs_db == (np.inf,)
-
-    def test_tie_resolves_to_smaller_candidate(self):
-        cfg = ScenarioConfig(**self.TIE_CONFIG)
-        table = calibrate_sigma2(cfg, candidates=(1e-2, 1e-3))
-        assert table.sigma2s == (1e-3,)
-
-    def test_reproducible_under_fixed_seed(self):
-        cfg = ScenarioConfig(**self.TIE_CONFIG)
-        first = calibrate_sigma2(cfg, candidates=(1e-3, 1e-2))
-        second = calibrate_sigma2(cfg, candidates=(1e-3, 1e-2))
-        assert first == second
-
-    def test_oversparse_floor_rejected_for_unequal_pair(self):
-        # Some floor of the list makes the flat solve lose a source (two
-        # peaks on one source, or a spurious one far off) in some trial;
-        # calibration must not pick it.
-        cfg = ScenarioConfig(
-            k_sources=2, n_sensors=16, n_snapshots=100, snr_db=5.0,
-            trials=8, seed=0, snr_sweep=(5.0,),
-            doa_sampling=DoaSampling(kind="fixed", angles_deg=(-20.0, 25.0)),
-        )
-        candidates = (3e0, 3e1, 8e2, 1e4)
-        table = calibrate_sigma2(cfg, candidates=candidates)
-        losing = set()
-        for cand in candidates:
-            trial_cfg = replace(cfg, solver=replace(cfg.solver, sigma2=cand))
-            for i in range(cfg.trials):
-                record = run_trial(trial_cfg, i, method="nuv_ssr_flat")
-                if max(map(abs, record.matched_errors_deg)) > 5.0:
-                    losing.add(cand)
-        assert losing
-        assert table.sigma2s[0] not in losing
-
-    def test_empty_candidates_raise(self):
-        cfg = ScenarioConfig(**self.TIE_CONFIG)
-        with pytest.raises(ValueError, match="candidate"):
-            calibrate_sigma2(cfg, candidates=())

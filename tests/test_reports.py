@@ -88,6 +88,35 @@ class TestReportRoundTrip:
         with pytest.raises(ReportIntegrityError):
             load_report(path)
 
+    def _dump_all_miss_report(self, path):
+        # Aggregates of all-miss records do not depend on their count, so
+        # only the trial count can tell a truncated file from a whole one.
+        report = _small_report()
+        records = tuple(replace(r, estimates_deg=None, matched_errors_deg=None,
+                                flags=("root_deficit",))
+                        for r in report.records)
+        report = replace(report, records=records,
+                         aggregates=aggregate(records, report.detection_threshold_deg))
+        dump_report(report, path)
+        return path.read_text().splitlines()
+
+    def test_missing_record_rejected(self, tmp_path):
+        path = tmp_path / "cell.jsonl"
+        lines = self._dump_all_miss_report(path)
+        assert load_report(path).trials == 3
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ReportIntegrityError, match="3 trials.*2 records"):
+            load_report(path)
+
+    def test_other_schema_version_rejected(self, tmp_path):
+        path = tmp_path / "cell.jsonl"
+        lines = self._dump_all_miss_report(path)
+        header = json.loads(lines[0])
+        header["schema_version"] = 7
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(ReportIntegrityError, match="schema_version 7"):
+            load_report(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "cell.jsonl"
         path.write_text("")
