@@ -129,29 +129,11 @@ def _check_azimuth(theta: float):
         raise ValueError(f"azimuth {theta!r} outside [-pi/2, pi/2)")
 
 
-def steering_vector(theta: float, geometry: UlaGeometry) -> np.ndarray:
-    """Steering vector for a source at azimuth ``theta``.
-
-    Parameters
-    ----------
-    theta : float
-        Azimuth in radians, in [-pi/2, pi/2).
-    geometry : UlaGeometry
-        Array description.
-
-    Returns
-    -------
-    numpy.ndarray
-        Complex vector of length ``n_sensors``; entry ``n`` equals
-        ``exp(-1j * pi * n * sin(theta))``.
-    """
-    _check_azimuth(theta)
-    indices = np.arange(geometry.n_sensors)
-    return np.exp(-1j * math.pi * indices * math.sin(theta))
-
-
 def steering_matrix(thetas, geometry: UlaGeometry) -> np.ndarray:
-    """Steering vectors for several azimuths, stacked as columns."""
+    """Steering vectors for several azimuths, stacked as columns.
+
+    Entry ``(n, k)`` is ``exp(-1j * pi * n * sin(thetas[k]))``.
+    """
     thetas = np.asarray(thetas, dtype=float)
     outside = ~((-HALF_PI <= thetas) & (thetas < HALF_PI))
     if outside.any():

@@ -228,6 +228,14 @@ def _cell_filename(method: str, snr_db: float) -> str:
 
 
 def cmd_sweep(config: ScenarioConfig, args) -> int:
+    cells = {}
+    for method in config.method_list:
+        for snr_db in config.snr_list:
+            name = _cell_filename(method, snr_db)
+            if name in cells:
+                raise ConfigError(f"cells {cells[name]} and {method} @ {snr_db} dB "
+                                  f"would both write {name}")
+            cells[name] = f"{method} @ {snr_db} dB"
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     reports = run_sweep(config)

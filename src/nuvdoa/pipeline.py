@@ -5,9 +5,9 @@ root-MUSIC on the sample covariance, then subtracts the least-squares fit
 of the other sources' steering vectors from the snapshot mean, and finally
 runs the sub-band scan on a window around the source's coarse angle whose
 width comes from a packaged table of coarse error standard deviations.
-The module also reads both packaged tables, window width and solver noise
-floor by SNR, and builds the full-azimuth dictionaries of the flat sparse
-solve.
+The module also looks up the window width and the solver noise floor by
+SNR in two packaged tables, each read once into a pair of read-only arrays,
+and builds the full-azimuth dictionaries of the flat sparse solve.
 """
 
 from __future__ import annotations
@@ -43,95 +43,57 @@ from .subbands import plan_subbands, superres_scan
 _FALLBACK_EPSILON_DEG = 1.0
 
 
-@dataclass(frozen=True)
-class ErrorStdTable:
-    """Coarse-error standard deviation (degrees) per SNR point.
-
-    Lookups interpolate linearly between the tabulated SNR points.  Outside
-    the tabulated range, which includes the +-inf that
-    :func:`estimate_effective_snr` can return, the conservative 1 deg
-    fallback applies.
-    """
-
-    snrs_db: tuple
-    epsilons_deg: tuple
-
-    def __post_init__(self):
-        snrs = tuple(float(s) for s in self.snrs_db)
-        eps = tuple(float(e) for e in self.epsilons_deg)
-        if len(snrs) != len(eps) or len(snrs) == 0:
-            raise ValueError("table must have matching, nonempty columns")
-        if any(e <= 0 for e in eps):
-            raise ValueError("error std must be positive")
-        if list(snrs) != sorted(set(snrs)):
-            raise ValueError("SNR points must be strictly increasing")
-        object.__setattr__(self, "snrs_db", snrs)
-        object.__setattr__(self, "epsilons_deg", eps)
-
-    def epsilon_for(self, snr_db: float) -> float:
-        """Window half-scale (radians) for a coarse estimate at this SNR."""
-        if snr_db < self.snrs_db[0] or snr_db > self.snrs_db[-1]:
-            eps_deg = _FALLBACK_EPSILON_DEG
-        else:
-            eps_deg = float(np.interp(snr_db, self.snrs_db, self.epsilons_deg))
-        return max(math.radians(eps_deg), 1e-12)
-
-
-@dataclass(frozen=True)
-class Sigma2Table:
-    """Solver noise-floor tuning per SNR point; nearest edge outside."""
-
-    snrs_db: tuple
-    sigma2s: tuple
-
-    def __post_init__(self):
-        snrs = tuple(float(s) for s in self.snrs_db)
-        sig = tuple(float(s) for s in self.sigma2s)
-        if len(snrs) != len(sig) or len(snrs) == 0:
-            raise ValueError("table must have matching, nonempty columns")
-        if any(s <= 0 for s in sig):
-            raise ValueError("sigma2 values must be positive")
-        if list(snrs) != sorted(set(snrs)):
-            raise ValueError("SNR points must be strictly increasing")
-        object.__setattr__(self, "snrs_db", snrs)
-        object.__setattr__(self, "sigma2s", sig)
-
-    def sigma2_for(self, snr_db: float) -> float:
-        log_values = np.log10(self.sigma2s)
-        return float(10.0 ** np.interp(snr_db, self.snrs_db, log_values))
-
-
 # The packaged files under nuvdoa/data were made by an earlier solver and
 # cannot be regenerated; they are the only source of both tables.
-def _packaged_entries(name: str) -> list:
+@cache
+def _packaged_table(name: str, column: str):
+    """The SNR points (dB) and one value column of a packaged table file.
+
+    Returns both as read-only float arrays; the file is read and checked
+    once per process.
+    """
     with resources.files("nuvdoa.data").joinpath(name).open() as handle:
-        return json.load(handle)["entries"]
+        entries = json.load(handle)["entries"]
+    snrs = np.array([e["snr_db"] for e in entries], dtype=float)
+    values = np.array([e[column] for e in entries], dtype=float)
+    if snrs.size == 0 or not (np.all(np.diff(snrs) > 0) and np.all(values > 0)):
+        raise ValueError(f"{name}: need entries with strictly increasing "
+                         f"SNR points and positive {column} values")
+    snrs.flags.writeable = False
+    values.flags.writeable = False
+    return snrs, values
 
 
-@cache
-def load_default_error_table() -> ErrorStdTable:
-    entries = _packaged_entries("epsilon_table.json")
-    return ErrorStdTable(snrs_db=tuple(e["snr_db"] for e in entries),
-                         epsilons_deg=tuple(e["epsilon_deg"] for e in entries))
+def load_default_error_table():
+    """SNR points and coarse-error standard deviations (degrees)."""
+    return _packaged_table("epsilon_table.json", "epsilon_deg")
 
 
-@cache
-def load_default_sigma2_table() -> Sigma2Table:
-    entries = _packaged_entries("sigma2_table.json")
-    return Sigma2Table(snrs_db=tuple(e["snr_db"] for e in entries),
-                       sigma2s=tuple(e["sigma2"] for e in entries))
+def load_default_sigma2_table():
+    """SNR points and solver noise floors."""
+    return _packaged_table("sigma2_table.json", "sigma2")
 
 
 def resolve_sigma2(solver: SolverSettings, snr_db: float) -> float:
-    """The solver noise floor: the configured one, else the packaged table's."""
+    """The solver noise floor: the configured one, else the packaged table's,
+    interpolated in log space and clamped to its edge values."""
     if solver.sigma2 is not None:
         return solver.sigma2
-    return load_default_sigma2_table().sigma2_for(snr_db)
+    snrs, sigma2s = load_default_sigma2_table()
+    return float(10.0 ** np.interp(snr_db, snrs, np.log10(sigma2s)))
 
 
 def resolve_epsilon(snr_db: float) -> float:
-    """Coarse-error window half-scale (radians) from the packaged table."""
-    return load_default_error_table().epsilon_for(snr_db)
+    """Coarse-error window half-scale (radians) from the packaged table.
+
+    The table is interpolated linearly.  Outside the tabulated SNR range,
+    which includes the +-inf that :func:`estimate_effective_snr` can
+    return, the conservative 1 deg fallback applies.
+    """
+    snrs, epsilons = load_default_error_table()
+    if snr_db < snrs[0] or snr_db > snrs[-1]:
+        return math.radians(_FALLBACK_EPSILON_DEG)
+    return math.radians(float(np.interp(snr_db, snrs, epsilons)))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from nuvdoa.arrays import (
     simulate_snapshots,
     snapshot_mean,
     steering_matrix,
-    steering_vector,
 )
 
 GEOM4 = UlaGeometry(n_sensors=4)
@@ -36,26 +35,26 @@ STEER_03_N8 = np.array([
 
 
 def test_steering_broadside_is_all_ones():
-    npt.assert_array_equal(steering_vector(0.0, GEOM4), np.ones(4))
+    npt.assert_array_equal(steering_matrix([0.0], GEOM4)[:, 0], np.ones(4))
 
 
 def test_steering_thirty_degrees_quarter_turns():
     # sin(pi/6) = 1/2, so the phase steps down by pi/2 per sensor.
     expected = np.array([1, -1j, -1, 1j])
-    npt.assert_allclose(steering_vector(math.pi / 6, GEOM4), expected,
-                        atol=1e-15)
+    npt.assert_allclose(steering_matrix([math.pi / 6], GEOM4)[:, 0],
+                        expected, atol=1e-15)
 
 
 def test_steering_matches_frozen_elementwise_values():
-    got = steering_vector(0.3, UlaGeometry(n_sensors=8))
+    got = steering_matrix([0.3], UlaGeometry(n_sensors=8))[:, 0]
     npt.assert_allclose(got, STEER_03_N8, atol=1e-14)
 
 
 def test_steering_rejects_out_of_range_azimuth():
     with pytest.raises(ValueError):
-        steering_vector(math.pi / 2, GEOM4)
+        steering_matrix([math.pi / 2], GEOM4)
     with pytest.raises(ValueError):
-        steering_vector(-math.pi / 2 - 1e-9, GEOM4)
+        steering_matrix([-math.pi / 2 - 1e-9], GEOM4)
     # An array is checked at once; the message names the first bad azimuth.
     with pytest.raises(ValueError, match=r"^azimuth .*\b1\.6\b.* outside"):
         steering_matrix([0.1, -0.4, 1.6, 0.2, -1.7], GEOM4)
@@ -63,8 +62,8 @@ def test_steering_rejects_out_of_range_azimuth():
 
 def test_steering_conjugate_symmetry():
     theta = 0.7342
-    a_pos = steering_vector(theta, GEOM16)
-    a_neg = steering_vector(-theta, GEOM16)
+    a_pos = steering_matrix([theta], GEOM16)[:, 0]
+    a_neg = steering_matrix([-theta], GEOM16)[:, 0]
     npt.assert_allclose(a_neg, a_pos.conj(), atol=1e-15)
 
 
@@ -151,12 +150,12 @@ def test_dictionary_unit_modulus():
     npt.assert_allclose(np.abs(d), 1.0, atol=1e-12)
 
 
-def test_noiseless_snapshots_are_scaled_steering_vectors():
+def test_noiseless_snapshots_are_scaled_steering_columns():
     theta = math.radians(20.0)
     scen = Scenario(geometry=GEOM4, true_doas=(theta,), n_snapshots=3,
                     snr_db=math.inf)
     batch = simulate_snapshots(scen, seed=0)
-    a = steering_vector(theta, GEOM4)
+    a = steering_matrix([theta], GEOM4)[:, 0]
     for t in range(3):
         s_t = batch.snapshots[0, t]  # first sensor has gain exactly 1
         npt.assert_allclose(batch.snapshots[:, t], s_t * a, atol=1e-14)

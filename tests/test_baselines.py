@@ -10,7 +10,7 @@ from nuvdoa.arrays import (
     build_grid,
     sample_covariance,
     simulate_snapshots,
-    steering_vector,
+    steering_matrix,
 )
 from nuvdoa.baselines import (
     RootDeficitError,
@@ -26,7 +26,7 @@ GRID = build_grid(360)
 
 
 def rank_one_cov(theta, n):
-    a = steering_vector(theta, UlaGeometry(n))
+    a = steering_matrix([theta], UlaGeometry(n))[:, 0]
     return np.outer(a, a.conj())
 
 
@@ -48,7 +48,7 @@ def test_bartlett_matches_quadratic_form_oracle():
     cov = x @ x.conj().T
     spec = bartlett_spectrum(cov, GRID)
     for m in (0, 77, 200, 359):
-        a = steering_vector(GRID.values[m], UlaGeometry(6))
+        a = steering_matrix([GRID.values[m]], UlaGeometry(6))[:, 0]
         oracle = (a.conj() @ cov @ a).real / 36
         assert spec.values[m] == pytest.approx(oracle, rel=1e-12)
 
@@ -134,7 +134,7 @@ def test_music_matches_projection_oracle():
     basis = noise_subspace(cov, 2)
     spec = music_spectrum(cov, GRID, 2)
     for m in (5, 133, 301):
-        a = steering_vector(GRID.values[m], UlaGeometry(6))
+        a = steering_matrix([GRID.values[m]], UlaGeometry(6))[:, 0]
         oracle = 1.0 / np.linalg.norm(basis.conj().T @ a) ** 2
         assert spec.values[m] == pytest.approx(oracle, rel=1e-10)
 

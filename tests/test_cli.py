@@ -315,6 +315,27 @@ class TestSweepCommand:
         for name in sorted(f.name for f in first.iterdir()):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    @pytest.mark.parametrize("overrides, first, second, name", [
+        ({"methods": ["root_music"], "snr_sweep": [5.0, 5.04]},
+         "root_music @ 5.0 dB", "root_music @ 5.04 dB",
+         "report_root_music_snr+5.0.jsonl"),
+        ({"methods": ["root_music"], "snr_sweep": [10.0, 10.0]},
+         "root_music @ 10.0 dB", "root_music @ 10.0 dB",
+         "report_root_music_snr+10.0.jsonl"),
+        ({"methods": ["bartlett", "bartlett"], "snr_sweep": [10.0]},
+         "bartlett @ 10.0 dB", "bartlett @ 10.0 dB",
+         "report_bartlett_snr+10.0.jsonl"),
+    ], ids=["snrs_round_alike", "repeated_snr", "repeated_method"])
+    def test_cells_sharing_a_report_file_are_refused(self, tmp_path, capsys,
+                                                     overrides, first, second,
+                                                     name):
+        path = _write_config(tmp_path, {**overrides, "trials": 3})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cells {first} and {second} would both write {name}" in err
+        assert not out.exists()
+
 
 class TestCalibrateCommand:
     def test_parser_rejects_calibrate(self, tmp_path):

@@ -17,14 +17,12 @@ from nuvdoa.arrays import (
     sample_covariance,
     simulate_snapshots,
     snapshot_mean,
-    steering_vector,
+    steering_matrix,
 )
 from nuvdoa.baselines import RootDeficitError, root_music
 from nuvdoa.cli import main
 from nuvdoa.pipeline import (
-    ErrorStdTable,
     PipelineSettings,
-    Sigma2Table,
     cancel_interference,
     coarse_estimate,
     estimate_effective_snr,
@@ -42,10 +40,16 @@ from nuvdoa.solver import SolverSettings, solve
 GEOM = UlaGeometry(16)
 
 
-def _packaged_entries(name):
-    """The entries of a packaged table file, read with json, not the loaders."""
+def _json_columns(name, column):
+    """SNR points and one column of a packaged table, read with json, not
+    with the loaders."""
     text = resources.files("nuvdoa.data").joinpath(name).read_text()
-    return json.loads(text)["entries"]
+    entries = json.loads(text)["entries"]
+    return [e["snr_db"] for e in entries], [e[column] for e in entries]
+
+
+EPSILON_SNRS, EPSILONS_DEG = _json_columns("epsilon_table.json", "epsilon_deg")
+SIGMA2_SNRS, SIGMA2S = _json_columns("sigma2_table.json", "sigma2")
 
 
 def _batch(doas_deg, n_snapshots, snr_db, seed, model="noncoherent"):
@@ -59,62 +63,85 @@ def _batch(doas_deg, n_snapshots, snr_db, seed, model="noncoherent"):
     return simulate_snapshots(scen, seed)
 
 
-class TestErrorStdTable:
+def _midpoints(snrs):
+    return [(lo + hi) / 2.0 for lo, hi in zip(snrs, snrs[1:])]
+
+
+def _assert_loads(loader, snrs, values):
+    """Cached, read-only, and equal to the JSON entries value for value."""
+    table = loader()
+    assert loader() is table
+    assert [column.tolist() for column in table] == [snrs, values]
+    for column in table:
+        assert column.dtype == np.float64
+        with pytest.raises(ValueError):
+            column[0] = 1.0
+
+
+class TestResolveEpsilon:
     def test_interpolates_between_entries(self):
-        table = ErrorStdTable(snrs_db=(0.0, 10.0), epsilons_deg=(0.5, 0.1))
-        assert np.degrees(table.epsilon_for(5.0)) == pytest.approx(0.3)
-        assert np.degrees(table.epsilon_for(0.0)) == pytest.approx(0.5)
+        for snr in EPSILON_SNRS + _midpoints(EPSILON_SNRS):
+            expected = np.interp(snr, EPSILON_SNRS, EPSILONS_DEG)
+            assert resolve_epsilon(snr) == math.radians(expected)
 
     def test_outside_range_falls_back_to_one_degree(self):
         # estimate_effective_snr reads +-inf on degenerate covariances.
-        table = ErrorStdTable(snrs_db=(0.0, 10.0), epsilons_deg=(0.5, 0.1))
-        for snr in (-3.0, 11.0, -math.inf, math.inf):
-            assert np.degrees(table.epsilon_for(snr)) == pytest.approx(1.0)
-
-    def test_rejects_empty_or_mismatched_columns(self):
-        with pytest.raises(ValueError):
-            ErrorStdTable(snrs_db=(), epsilons_deg=())
-        with pytest.raises(ValueError):
-            ErrorStdTable(snrs_db=(0.0, 10.0), epsilons_deg=(0.5,))
-
-    def test_rejects_nonpositive_epsilon(self):
-        with pytest.raises(ValueError):
-            ErrorStdTable(snrs_db=(0.0,), epsilons_deg=(0.0,))
-
-    def test_rejects_unsorted_snrs(self):
-        with pytest.raises(ValueError):
-            ErrorStdTable(snrs_db=(10.0, 0.0), epsilons_deg=(0.1, 0.5))
+        for snr in (-10.5, 20.5, -math.inf, math.inf):
+            assert resolve_epsilon(snr) == math.radians(1.0)
 
     def test_packaged_table_loads(self):
-        table = load_default_error_table()
-        assert load_default_error_table() is table
-        entries = _packaged_entries("epsilon_table.json")
-        assert table.snrs_db == tuple(e["snr_db"] for e in entries)
-        assert table.epsilons_deg == tuple(e["epsilon_deg"] for e in entries)
+        _assert_loads(load_default_error_table, EPSILON_SNRS, EPSILONS_DEG)
 
 
-class TestSigma2Table:
+class TestResolveSigma2:
     def test_log_space_interpolation(self):
-        table = Sigma2Table(snrs_db=(0.0, 10.0), sigma2s=(1.0, 100.0))
-        assert table.sigma2_for(5.0) == pytest.approx(10.0)
+        for snr in _midpoints(SIGMA2_SNRS):
+            expected = 10.0 ** np.interp(snr, SIGMA2_SNRS, np.log10(SIGMA2S))
+            assert resolve_sigma2(SolverSettings(), snr) == expected
+        # halfway between 800 at 5 dB and 300 at 10 dB: the geometric mean
+        assert resolve_sigma2(SolverSettings(), 7.5) == pytest.approx(
+            math.sqrt(800.0 * 300.0))
 
     def test_clamps_to_edges(self):
-        table = Sigma2Table(snrs_db=(0.0, 10.0), sigma2s=(1.0, 100.0))
-        assert table.sigma2_for(-5.0) == pytest.approx(1.0)
-        assert table.sigma2_for(25.0) == pytest.approx(100.0)
-
-    def test_rejects_empty_or_nonpositive(self):
-        with pytest.raises(ValueError):
-            Sigma2Table(snrs_db=(), sigma2s=())
-        with pytest.raises(ValueError):
-            Sigma2Table(snrs_db=(0.0,), sigma2s=(-1.0,))
+        assert resolve_sigma2(SolverSettings(), -30.0) == SIGMA2S[0]
+        assert resolve_sigma2(SolverSettings(), 40.0) == SIGMA2S[-1]
 
     def test_packaged_table_loads(self):
-        table = load_default_sigma2_table()
-        assert load_default_sigma2_table() is table
-        entries = _packaged_entries("sigma2_table.json")
-        assert table.snrs_db == tuple(e["snr_db"] for e in entries)
-        assert table.sigma2s == tuple(e["sigma2"] for e in entries)
+        _assert_loads(load_default_sigma2_table, SIGMA2_SNRS, SIGMA2S)
+
+
+class TestPackagedTable:
+    """The checks a table file passes when it is read."""
+
+    @staticmethod
+    def _read(tmp_path, monkeypatch, entries, column="sigma2"):
+        (tmp_path / "table.json").write_text(json.dumps({"entries": entries}))
+        monkeypatch.setattr(pipeline_mod.resources, "files", lambda _: tmp_path)
+        return pipeline_mod._packaged_table.__wrapped__("table.json", column)
+
+    def test_reads_a_valid_file(self, tmp_path, monkeypatch):
+        snrs, values = self._read(tmp_path, monkeypatch, [
+            {"snr_db": 0.0, "sigma2": 2.0}, {"snr_db": 5.0, "sigma2": 3.0}])
+        assert snrs.tolist() == [0.0, 5.0] and values.tolist() == [2.0, 3.0]
+
+    def test_rejects_empty_entries(self, tmp_path, monkeypatch):
+        with pytest.raises(ValueError, match="table.json"):
+            self._read(tmp_path, monkeypatch, [])
+
+    def test_rejects_unsorted_snrs(self, tmp_path, monkeypatch):
+        for snrs in ((10.0, 0.0), (5.0, 5.0), (0.0, math.nan)):
+            entries = [{"snr_db": snr, "sigma2": 1.0} for snr in snrs]
+            with pytest.raises(ValueError, match="table.json"):
+                self._read(tmp_path, monkeypatch, entries)
+
+    def test_rejects_zero_epsilon(self, tmp_path, monkeypatch):
+        with pytest.raises(ValueError, match="table.json"):
+            self._read(tmp_path, monkeypatch,
+                       [{"snr_db": 0.0, "epsilon_deg": 0.0}], "epsilon_deg")
+
+    def test_rejects_zero_sigma2(self, tmp_path, monkeypatch):
+        with pytest.raises(ValueError, match="table.json"):
+            self._read(tmp_path, monkeypatch, [{"snr_db": 0.0, "sigma2": 0.0}])
 
 
 class TestEffectiveSnr:
@@ -124,7 +151,7 @@ class TestEffectiveSnr:
         assert estimate_effective_snr(cov) == pytest.approx(10.0, abs=1e-12)
 
     def test_rank_deficient_reads_infinite(self):
-        a = steering_vector(0.3, GEOM)
+        a = steering_matrix([0.3], GEOM)[:, 0]
         cov = np.outer(a, a.conj())
         assert estimate_effective_snr(cov) == math.inf
 
@@ -140,13 +167,13 @@ class TestPipelineConfig:
             PipelineSettings(fine_step_deg=0.5, half_width_deg=0.1)
 
     def test_explicit_sigma2_wins_over_table(self):
-        assert load_default_sigma2_table().sigma2_for(0.0) != 5.0
+        assert resolve_sigma2(SolverSettings(), 0.0) != 5.0
         assert resolve_sigma2(SolverSettings(sigma2=5.0), 0.0) == 5.0
 
     def test_table_used_when_sigma2_unset(self):
-        table = load_default_sigma2_table()
         for snr in (-20.0, 2.5, 12.0, 40.0):
-            assert resolve_sigma2(SolverSettings(), snr) == table.sigma2_for(snr)
+            expected = 10.0 ** np.interp(snr, SIGMA2_SNRS, np.log10(SIGMA2S))
+            assert resolve_sigma2(SolverSettings(), snr) == expected
 
 
 class TestCoarseEstimate:
@@ -251,7 +278,7 @@ class TestCancelInterference:
 
     def test_matches_projection_oracle(self):
         t1, t2 = np.radians(-7.5), np.radians(7.5)
-        a1, a2 = steering_vector(t1, GEOM), steering_vector(t2, GEOM)
+        a1, a2 = steering_matrix([t1, t2], GEOM).T
         ybar = 2.0 * a1 + (1.0 + 1.0j) * a2
         stat = SufficientStatistic(mean=ybar, n_snapshots=1)
         out, _ = cancel_interference(stat, np.array([t1, t2]), 0, GEOM)
@@ -263,8 +290,8 @@ class TestCancelInterference:
 
     def test_neighbor_span_is_annihilated(self):
         angles = np.radians([-40.0, 10.0, 35.0])
-        a2 = steering_vector(angles[1], GEOM)
-        a3 = steering_vector(angles[2], GEOM)
+        a2 = steering_matrix([angles[1]], GEOM)[:, 0]
+        a3 = steering_matrix([angles[2]], GEOM)[:, 0]
         ybar = 3.0 * a2 - 2.0j * a3
         stat = SufficientStatistic(mean=ybar, n_snapshots=1)
         out, _ = cancel_interference(stat, angles, 0, GEOM)
@@ -283,7 +310,7 @@ class TestCancelInterference:
             for j, angle in enumerate(angles):
                 if j == target:
                     continue
-                inner = abs(steering_vector(angle, GEOM).conj() @ out.mean)
+                inner = abs(steering_matrix([angle], GEOM)[:, 0].conj() @ out.mean)
                 assert inner < 1e-10 * scale
 
     def test_idempotent(self):
@@ -297,8 +324,8 @@ class TestCancelInterference:
 
     def test_duplicate_neighbors_dropped_and_flagged(self):
         angles = np.radians([10.0, 40.0, 40.0])
-        a_dup = steering_vector(angles[1], GEOM)
-        ybar = steering_vector(angles[0], GEOM) + 0.5 * a_dup
+        a_dup = steering_matrix([angles[1]], GEOM)[:, 0]
+        ybar = steering_matrix([angles[0]], GEOM)[:, 0] + 0.5 * a_dup
         stat = SufficientStatistic(mean=ybar, n_snapshots=1)
         out, flags = cancel_interference(stat, angles, 0, GEOM)
         assert "duplicate_neighbors_dropped" in flags

@@ -574,15 +574,15 @@ def _check_against_references(matrix, ybar, pv, mean, variance, cfg):
     assert _gap(variance, primal_variance) <= 1e-9
 
 
-_TABLE = load_default_sigma2_table()
+_SNRS, _SIGMA2S = (column.tolist() for column in load_default_sigma2_table())
 
 
-@pytest.mark.parametrize("sigma2", sorted(set(_TABLE.sigma2s)))
+@pytest.mark.parametrize("sigma2", sorted(set(_SIGMA2S)))
 def test_steering_solve_matches_reference_moments(sigma2):
     """A 16x3000 flat solve at each noise floor of the packaged table."""
     geom = UlaGeometry(16)
     d = build_dictionary(build_grid(3000), geom)
-    snr_db = _TABLE.snrs_db[_TABLE.sigma2s.index(sigma2)]
+    snr_db = _SNRS[_SIGMA2S.index(sigma2)]
     scen = Scenario(geometry=geom, true_doas=(math.radians(10.3),),
                     n_snapshots=100, snr_db=snr_db)
     stat = snapshot_mean(simulate_snapshots(scen, seed=1))

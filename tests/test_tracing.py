@@ -3,14 +3,19 @@
 The tracer replaces module attributes by name when a traced benchmark run
 starts, so a refactor that drops one of those imports otherwise surfaces
 only in a ``--trace 1`` run.  The tracer module is loaded by path, since
-``perfbench/`` is not a package.
+``perfbench/`` is not a package.  A short in-process run of every workload
+in both modes also reaches the attributes perfbench reads off results.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
+import shutil
 import sys
 from pathlib import Path
+
+import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -48,3 +53,43 @@ def test_every_name_the_bench_reads_exists():
                      if not hasattr(importlib.import_module(f"nuvdoa.{module}"),
                                     name))
     assert missing == []
+
+
+PERFBENCH = TRACING.parent
+BENCHMARK = PERFBENCH.parent / "BENCHMARK.json"
+BENCH_WORKLOADS = sorted(path.stem for path in
+                         (PERFBENCH / "workloads").glob("*.yaml"))
+
+
+@pytest.fixture
+def bench(monkeypatch, tmp_path):
+    """perfbench's ``bench`` module, imported from ``perfbench/``, writing
+    its results under ``tmp_path`` and leaving no module patched."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    own = ("bench", "checks", "tracing")
+    for name in own:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    module = importlib.import_module("bench")
+    for module_name, attribute, _ in module.tracing.WRAPPED:
+        target = importlib.import_module(module_name)
+        monkeypatch.setattr(target, attribute, getattr(target, attribute))
+    shutil.copytree(PERFBENCH / "workloads", tmp_path / "workloads")
+    monkeypatch.setattr(module, "HERE", tmp_path)
+    yield module
+    for name in own:
+        sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+@pytest.mark.parametrize("workload", BENCH_WORKLOADS)
+def test_bench_run_is_clean_and_prints_the_declared_metrics(bench, workload,
+                                                            trace):
+    """One in-process benchmark run per workload and mode: the attributes
+    it reads off results exist, no trial fails, and it prints exactly the
+    metrics BENCHMARK.json declares for the mode."""
+    _, failed, problems, metrics = bench.run(workload, 0, 0.01, bool(trace), 0.0)
+    assert failed == 0
+    assert problems == []
+    declared = json.loads(BENCHMARK.read_text())
+    section = declared["per_layer" if trace else "end_to_end"]
+    assert sorted(metrics) == sorted(m["name"] for m in section)
