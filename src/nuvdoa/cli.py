@@ -28,7 +28,7 @@ from .harness import (
     run_trial,
     simulate_trial,
 )
-from .pipeline import resolve_sigma2
+from .pipeline import FINE_STEP, HALF_WIDTH, resolve_sigma2
 from .reports import dump_report, write_spectrum_csv, write_summary_csv
 from .solver import SolverNumericalError, Spectrum
 from .subbands import plan_subbands, superres_scan
@@ -200,9 +200,7 @@ def _spectrum_for(config: ScenarioConfig, method: str, args) -> Spectrum:
     solver_cfg = config.solver_config(resolve_sigma2(config.solver, config.snr_db))
     try:
         plan = plan_subbands(math.radians(args.scan_lo_deg),
-                             math.radians(args.scan_hi_deg),
-                             math.radians(config.pipeline.fine_step_deg),
-                             math.radians(config.pipeline.half_width_deg))
+                             math.radians(args.scan_hi_deg), FINE_STEP, HALF_WIDTH)
     except ValueError as exc:
         raise ConfigError(f"superres scan window: {exc}") from None
     return superres_scan(plan, snapshot_mean(batch), solver_cfg,

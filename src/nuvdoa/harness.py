@@ -1,11 +1,10 @@
 """Monte-Carlo benchmark harness: scenario configs, trials, sweeps, scoring.
 
 Angles cross this boundary in degrees; everything handed to the estimation
-modules is converted to radians first, except the solver and pipeline
-settings, which keep config-file units and are converted where they are
-used.  A trial is a pure function of (config, trial_index): the trial seed
-is ``config.seed + trial_index``, the direction draw uses an rng derived
-from that seed, and the same seed drives the snapshot simulation.
+modules is converted to radians first.  A trial is a pure function of
+(config, trial_index): the trial seed is ``config.seed + trial_index``, the
+direction draw uses an rng derived from that seed, and the same seed drives
+the snapshot simulation.
 """
 
 from __future__ import annotations
@@ -51,14 +50,19 @@ from .solver import (
 
 _DOA_STREAM_TAG = 0xD0A
 
+# Grid sizes, in cells over [-90, 90) deg: the nuv_ssr_flat solve's and the
+# bartlett / mvdr / music spectra's.
+FLAT_GRID_CELLS = 3000
+BASELINE_GRID_CELLS = 1801
+
 
 @dataclass(frozen=True)
 class DoaSampling:
     """How each trial draws its true directions (degrees at this boundary).
 
-    ``fixed`` replays the same angles every trial; ``uniform_range`` draws
-    the sources in [lo, hi], every pair at least ``min_separation_deg``
-    apart.
+    ``fixed`` replays the same distinct angles every trial;
+    ``uniform_range`` draws the sources in [lo, hi], every pair at least
+    ``min_separation_deg`` apart.
     """
 
     kind: str
@@ -77,6 +81,10 @@ class DoaSampling:
                                tuple(float(a) for a in self.angles_deg))
             if not all(-90.0 <= a < 90.0 for a in self.angles_deg):
                 raise ValueError("fixed angles must lie in [-90, 90) deg")
+            # Scenario's test, on the radians that draw returns.
+            radians = np.radians(self.angles_deg).tolist()
+            if len(set(radians)) != len(radians):
+                raise ValueError("fixed angles must be pairwise distinct")
         else:
             for name in ("lo_deg", "hi_deg"):
                 if not math.isfinite(getattr(self, name)):
@@ -132,8 +140,6 @@ class ScenarioConfig:
     snr_sweep: tuple[float, ...] = ()
     solver: SolverSettings = field(default_factory=SolverSettings)
     pipeline: PipelineSettings = field(default_factory=PipelineSettings)
-    flat_grid_cells: int = 3000
-    baseline_grid_cells: int = 1801
     detection_threshold_deg: float = 1.0
     timing: bool = False
     # Kept so that config files that say ``workers: 1`` still parse; the
@@ -155,9 +161,6 @@ class ScenarioConfig:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
         self.doa_sampling.check(self.k_sources)
-        for name in ("flat_grid_cells", "baseline_grid_cells"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be at least 2")
         if not self.detection_threshold_deg > 0:
             raise ValueError("detection_threshold_deg must be positive")
         if self.snr_db == -math.inf:
@@ -178,7 +181,7 @@ class ScenarioConfig:
         return self.snr_sweep if self.snr_sweep else (self.snr_db,)
 
     def solver_config(self, sigma2: float) -> SolverConfig:
-        return self.solver.solver_config(self.n_snapshots, sigma2)
+        return SolverConfig(sigma2=sigma2, n_snapshots=self.n_snapshots)
 
     def pipeline_settings(self, snr_db: float) -> PipelineSettings:
         """The pipeline settings with ``known_snr: "scenario"`` pinned to ``snr_db``."""
@@ -247,8 +250,7 @@ def _nuv_doa(batch, config: ScenarioConfig, snr_db: float):
 
 
 def _nuv_ssr_flat(batch, config: ScenarioConfig, snr_db: float):
-    grid, dictionary = full_azimuth_dictionary(config.flat_grid_cells,
-                                               config.n_sensors)
+    grid, dictionary = full_azimuth_dictionary(FLAT_GRID_CELLS, config.n_sensors)
     sigma2 = resolve_sigma2(config.solver, snr_db)
     _, moments, _ = solve(dictionary, snapshot_mean(batch),
                           config.solver_config(sigma2), steering=True)
@@ -256,7 +258,7 @@ def _nuv_ssr_flat(batch, config: ScenarioConfig, snr_db: float):
 
 
 def _covariance_on_grid(batch, config: ScenarioConfig):
-    return sample_covariance(batch), build_grid(config.baseline_grid_cells)
+    return sample_covariance(batch), build_grid(BASELINE_GRID_CELLS)
 
 
 # name -> ("spectrum", function returning a Spectrum that run_method

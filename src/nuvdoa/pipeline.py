@@ -42,6 +42,10 @@ from .subbands import plan_subbands, superres_scan
 
 _FALLBACK_EPSILON_DEG = 1.0
 
+# The sub-band scan's lattice step and band half-width, in radians.
+FINE_STEP = math.radians(0.01)
+HALF_WIDTH = math.radians(0.5)
+
 
 # The packaged files under nuvdoa/data were made by an earlier solver and
 # cannot be regenerated; they are the only source of both tables.
@@ -98,24 +102,14 @@ def resolve_epsilon(snr_db: float) -> float:
 
 @dataclass(frozen=True)
 class PipelineSettings:
-    """Knobs of the hierarchical estimator, in degrees as in config files.
+    """The hierarchical estimator's config-file settings.
 
     ``known_snr`` is None (estimate the SNR from the sample covariance), a
     number in dB, or "scenario", which the harness replaces with the
     trial's true SNR before the pipeline sees it.
     """
 
-    fine_step_deg: float = 0.01
-    half_width_deg: float = 0.5
     known_snr: float | Literal["scenario"] | None = None
-
-    def __post_init__(self):
-        fine_step = math.radians(self.fine_step_deg)
-        half_width = math.radians(self.half_width_deg)
-        if not math.isfinite(self.half_width_deg):
-            raise ValueError("half_width_deg must be finite")
-        if fine_step <= 0 or half_width < fine_step:
-            raise ValueError("need 0 < fine_step <= half_width")
 
 
 @dataclass(frozen=True)
@@ -229,23 +223,18 @@ def cancel_interference(stat: SufficientStatistic, coarse_angles,
 
 
 def refine_source(stat: SufficientStatistic, coarse_angle: float,
-                  epsilon: float, settings: PipelineSettings,
-                  config: SolverConfig, geometry: UlaGeometry):
+                  epsilon: float, config: SolverConfig, geometry: UlaGeometry):
     """Sub-band scan of a +-3 epsilon window around one coarse angle.
 
     Returns the scan argmax (ties fall to the lowest scan angle) plus
-    flags; an empty post-clipping window falls back to the coarse angle and
-    an all-zero scan is flagged as a non-detection.
+    flags; an all-zero scan is flagged as a non-detection.  Root-MUSIC's
+    angles lie in [-90, 90) deg, so the window always meets the domain; a
+    window wholly outside it raises the planner's ValueError.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    try:
-        plan = plan_subbands(coarse_angle - 3.0 * epsilon,
-                             coarse_angle + 3.0 * epsilon,
-                             math.radians(settings.fine_step_deg),
-                             math.radians(settings.half_width_deg))
-    except ValueError:
-        return coarse_angle, ("empty_window",)
+    plan = plan_subbands(coarse_angle - 3.0 * epsilon,
+                         coarse_angle + 3.0 * epsilon, FINE_STEP, HALF_WIDTH)
     scan = superres_scan(plan, stat, config, geometry)
     best = int(np.argmax(scan.values))
     flags = () if scan.values[best] > 0.0 else ("no_detection",)
@@ -258,8 +247,8 @@ def estimate_multisource(batch: SnapshotBatch, n_sources: int,
     geometry = UlaGeometry(batch.n_sensors)
     coarse = coarse_estimate(batch, n_sources, settings)
     epsilon = resolve_epsilon(coarse.effective_snr_db)
-    solver_cfg = solver.solver_config(
-        batch.n_snapshots, resolve_sigma2(solver, coarse.effective_snr_db))
+    sigma2 = resolve_sigma2(solver, coarse.effective_snr_db)
+    solver_cfg = SolverConfig(sigma2=sigma2, n_snapshots=batch.n_snapshots)
     stat = snapshot_mean(batch)
     refined = np.empty(n_sources)
     windows = []
@@ -268,8 +257,8 @@ def estimate_multisource(batch: SnapshotBatch, n_sources: int,
         residual, cancel_flags = cancel_interference(
             stat, coarse.angles, index, geometry)
         angle, refine_flags = refine_source(
-            residual, float(coarse.angles[index]), epsilon, settings,
-            solver_cfg, geometry)
+            residual, float(coarse.angles[index]), epsilon, solver_cfg,
+            geometry)
         refined[index] = angle
         windows.append((float(coarse.angles[index]) - 3.0 * epsilon,
                         float(coarse.angles[index]) + 3.0 * epsilon))

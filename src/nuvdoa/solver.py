@@ -100,22 +100,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Solver knobs as they appear in config files.
+    """The solver's config-file settings.
 
     ``sigma2 = None`` leaves the noise floor to the pipeline's SNR-indexed
-    table.  The iteration budget and tolerance default to SolverConfig's;
-    every solve starts from SolverConfig's default init.
+    table.  Every solve of a run takes SolverConfig's default iteration
+    budget, tolerance and init.
     """
 
     sigma2: float | None = None
-    max_iterations: int = SolverConfig.max_iterations
-    tolerance: float = SolverConfig.tolerance
-
-    def solver_config(self, n_snapshots: int, sigma2: float) -> SolverConfig:
-        """The per-solve spec at a resolved noise floor."""
-        return SolverConfig(sigma2=sigma2, n_snapshots=n_snapshots,
-                            max_iterations=self.max_iterations,
-                            tolerance=self.tolerance)
 
 
 @dataclass(frozen=True)

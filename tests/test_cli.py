@@ -53,14 +53,13 @@ class TestParseConfig:
             "snr_sweep": [0.0, 10.0],
             "scenario": {"k_sources": 2, "n_snapshots": 50},
             "solver": {"sigma2": 3.0},
-            "pipeline": {"known_snr": "scenario", "half_width_deg": 0.25},
+            "pipeline": {"known_snr": "scenario"},
         })
         assert config.method_list == ("music", "mvdr")
         assert config.snr_list == (0.0, 10.0)
         assert config.k_sources == 2
         assert config.solver.sigma2 == 3.0
         assert config.pipeline.known_snr == "scenario"
-        assert config.pipeline.half_width_deg == 0.25
 
     def test_rejects_unknown_schema_version(self):
         with pytest.raises(ConfigError, match="schema_version"):
@@ -171,7 +170,7 @@ class TestLoadConfig:
     @pytest.mark.parametrize("line, read, value", [
         ("solver: {sigma2: 1e4}", lambda c: c.solver.sigma2, 1e4),
         ("solver: {sigma2: 1.0e4}", lambda c: c.solver.sigma2, 1e4),
-        ("solver: {tolerance: 1e-6}", lambda c: c.solver.tolerance, 1e-6),
+        ("solver: {sigma2: 1e-6}", lambda c: c.solver.sigma2, 1e-6),
         ("snr_sweep: [1e1]", lambda c: c.snr_sweep, (10.0,)),
     ], ids=["1e4", "1.0e4", "1e-6", "list-1e1"])
     def test_exponent_numbers_are_floats(self, tmp_path, line, read, value):
@@ -246,27 +245,24 @@ class TestSimulateCommand:
 
 class TestSpectrumCommand:
     def test_baseline_spectrum_rows(self, tmp_path):
-        path = _write_config(tmp_path, {"baseline_grid_cells": 181})
+        path = _write_config(tmp_path)
         out = tmp_path / "spec.csv"
         assert main(["spectrum", "--config", str(path), "--method", "bartlett",
                      "--out", str(out)]) == 0
         with open(out, newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["angle_deg", "magnitude"]
-        assert len(rows) == 182
+        assert len(rows) == 1802
 
     def test_superres_scan_window(self, tmp_path):
-        path = _write_config(tmp_path, {
-            "pipeline": {"fine_step_deg": 0.05, "half_width_deg": 0.5},
-            "solver": {"sigma2": 0.01, "max_iterations": 60},
-        })
+        path = _write_config(tmp_path)
         out = tmp_path / "sr.csv"
         assert main(["spectrum", "--config", str(path), "--method", "superres",
                      "--out", str(out), "--scan-lo-deg", "-1.0",
                      "--scan-hi-deg", "1.0"]) == 0
         with open(out, newline="") as handle:
             rows = list(csv.reader(handle))
-        assert len(rows) == 42
+        assert len(rows) == 202
 
     @pytest.mark.parametrize("method", SPECTRUM_METHODS)
     def test_argmax_matches_run_trial_estimate(self, tmp_path, method):
@@ -354,22 +350,28 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("overrides, message", [
         ({"solver": {"init": {"value": 2.0}}}, "unknown config key 'solver.init'"),
-        ({"pipeline": {"half_width_deg": float("inf")}},
-         "half_width_deg must be finite"),
-        ({"pipeline": {"fine_step_deg": 0}}, "need 0 < fine_step <= half_width"),
-        # The ids of this case and of overrides13 and overrides23 name the
-        # checks these keys had before the keys were removed.
+        # The ids of the pytest.param cases name the checks their keys had
+        # before the keys were removed.
+        pytest.param({"pipeline": {"half_width_deg": float("inf")}},
+                     "unknown config key 'pipeline.half_width_deg'",
+                     id="overrides1-half_width_deg must be finite"),
+        pytest.param({"pipeline": {"fine_step_deg": 0}},
+                     "unknown config key 'pipeline.fine_step_deg'",
+                     id="overrides2-need 0 < fine_step <= half_width"),
         pytest.param({"pipeline": {"coarse_cells": 1}},
                      "unknown config key 'pipeline.coarse_cells'",
                      id="overrides3-coarse grid needs at least 2 cells"),
-        ({"solver": {"max_iterations": 0}}, "max_iterations must be positive"),
+        pytest.param({"solver": {"max_iterations": 0}},
+                     "unknown config key 'solver.max_iterations'",
+                     id="overrides4-max_iterations must be positive"),
         ({"solver": {"max_iteration": 50}}, "unknown config key 'solver.max_iteration'"),
         ({"doa_sampling": {"kind": "fixed", "angles_deg": [1.0, 2.0]}},
          "fixed angle count does not match k_sources"),
         ({"scenario": {"k_sources": 3, "n_snapshots": 16},
           "doa_sampling": {"lo_deg": -10.0, "hi_deg": 10.0, "min_separation_deg": 10.0}},
          "no 3 directions fit in the sampling range"),
-        ({"flat_grid_cells": 1}, "flat_grid_cells must be at least 2"),
+        pytest.param({"flat_grid_cells": 1}, "unknown config key 'flat_grid_cells'",
+                     id="overrides8-flat_grid_cells must be at least 2"),
         ({"seed": 1.5}, "seed must be an integer"),
         ({"seed": True}, "seed must be an integer"),
         ({"trials": "5"}, "trials must be an integer"),
@@ -384,10 +386,13 @@ class TestExitCodes:
         ({"workers": 2}, "workers must be 1: the sub-band scan runs on one thread"),
         ({"scenario": {"snr_db": float("nan")}}, "scenario.snr_db must be a number"),
         ({"solver": {"sigma2": float("nan")}}, "solver.sigma2 must be a number or null"),
-        ({"solver": {"tolerance": float("nan")}}, "solver.tolerance must be a number"),
+        pytest.param({"solver": {"tolerance": float("nan")}},
+                     "unknown config key 'solver.tolerance'",
+                     id="overrides20-solver.tolerance must be a number"),
         ({"solver": {"sigma2": float("inf")}}, "sigma2 must be positive and finite"),
-        ({"pipeline": {"fine_step_deg": float("nan")}},
-         "pipeline.fine_step_deg must be a number"),
+        pytest.param({"pipeline": {"fine_step_deg": float("nan")}},
+                     "unknown config key 'pipeline.fine_step_deg'",
+                     id="overrides22-pipeline.fine_step_deg must be a number"),
         pytest.param({"pipeline": {"snr_gate_db": float("nan")}},
                      "unknown config key 'pipeline.snr_gate_db'",
                      id="overrides23-pipeline.snr_gate_db must be a number"),
@@ -412,12 +417,18 @@ class TestExitCodes:
          "sampling range must lie within [-90, 90] deg"),
         ({"doa_sampling": {"lo_deg": -90.5}},
          "sampling range must lie within [-90, 90] deg"),
-        ({"baseline_grid_cells": 1}, "baseline_grid_cells must be at least 2"),
+        pytest.param({"baseline_grid_cells": 1},
+                     "unknown config key 'baseline_grid_cells'",
+                     id="overrides38-baseline_grid_cells must be at least 2"),
         ({"detection_threshold_deg": -1.0}, "detection_threshold_deg must be positive"),
         ({"doa_sampling": {"min_separation_deg": -1.0}},
          "min_separation_deg must be finite and nonnegative"),
         ({"seed": -3}, "seed must be nonnegative"),
         ({"seed": -1}, "seed must be nonnegative"),
+        ({"scenario": {"k_sources": 2},
+          "doa_sampling": {"kind": "fixed", "angles_deg": [5.0, 5.0]}},
+         "fixed angles must be pairwise distinct"),
+        ({"scenario": {"n_snapshots": 0}}, "n_snapshots must be positive"),
     ])
     def test_invalid_settings_are_two(self, tmp_path, capsys, overrides, message):
         path = _write_config(tmp_path, overrides)

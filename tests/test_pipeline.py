@@ -22,6 +22,7 @@ from nuvdoa.arrays import (
 from nuvdoa.baselines import RootDeficitError, root_music
 from nuvdoa.cli import main
 from nuvdoa.pipeline import (
+    FINE_STEP,
     PipelineSettings,
     cancel_interference,
     coarse_estimate,
@@ -34,8 +35,8 @@ from nuvdoa.pipeline import (
     resolve_epsilon,
     resolve_sigma2,
 )
-from nuvdoa.harness import ScenarioConfig, _nuv_ssr_flat, run_trial
-from nuvdoa.solver import SolverSettings, solve
+from nuvdoa.harness import FLAT_GRID_CELLS, ScenarioConfig, _nuv_ssr_flat, run_trial
+from nuvdoa.solver import SolverConfig, SolverSettings, solve
 
 GEOM = UlaGeometry(16)
 
@@ -160,11 +161,7 @@ class TestEffectiveSnr:
 
 
 class TestPipelineConfig:
-    """The `pipeline:` settings checks and the sigma2 resolution."""
-
-    def test_rejects_fine_step_above_half_width(self):
-        with pytest.raises(ValueError):
-            PipelineSettings(fine_step_deg=0.5, half_width_deg=0.1)
+    """The sigma2 resolution."""
 
     def test_explicit_sigma2_wins_over_table(self):
         assert resolve_sigma2(SolverSettings(), 0.0) != 5.0
@@ -260,7 +257,7 @@ class TestFullAzimuthDictionary:
         assert _nuv_ssr_flat(batch, config, 0.0).values.tobytes() == miss
         assert full_azimuth_dictionary.cache_info().hits == 1
         # The flat estimate is the one a per-call build gives.
-        grid = build_grid(config.flat_grid_cells)
+        grid = build_grid(FLAT_GRID_CELLS)
         sigma2 = resolve_sigma2(config.solver, 0.0)
         _, moments, _ = solve(build_dictionary(grid, GEOM), snapshot_mean(batch),
                               config.solver_config(sigma2))
@@ -338,11 +335,9 @@ class TestCancelInterference:
 
 
 class TestRefineSource:
-    CFG = PipelineSettings(known_snr=30.0)
-    SOLVER = SolverSettings(sigma2=1e-2, max_iterations=60)
-
     def _spec(self, stat, sigma2):
-        return self.SOLVER.solver_config(stat.n_snapshots, sigma2)
+        return SolverConfig(sigma2=sigma2, n_snapshots=stat.n_snapshots,
+                            max_iterations=60)
 
     def test_noiseless_window_recovers_truth(self):
         truth = np.radians(14.0)
@@ -350,10 +345,10 @@ class TestRefineSource:
         stat = snapshot_mean(batch)
         coarse = truth - np.radians(0.07)
         angle, flags = refine_source(
-            stat, coarse, np.radians(0.1), self.CFG, self._spec(stat, 1e-2), GEOM
+            stat, coarse, np.radians(0.1), self._spec(stat, 1e-2), GEOM
         )
         assert flags == ()
-        assert abs(angle - truth) < np.radians(self.CFG.fine_step_deg) + 1e-12
+        assert abs(angle - truth) < FINE_STEP + 1e-12
 
     def test_result_stays_inside_window(self):
         eps = np.radians(0.05)
@@ -361,32 +356,31 @@ class TestRefineSource:
             batch = _batch([-33.0], n_snapshots=50, snr_db=5.0, seed=seed)
             stat = snapshot_mean(batch)
             coarse = np.radians(-33.02)
-            angle, _ = refine_source(stat, coarse, eps, self.CFG,
-                                     self._spec(stat, 1.0), GEOM)
+            angle, _ = refine_source(stat, coarse, eps, self._spec(stat, 1.0),
+                                     GEOM)
             assert coarse - 3 * eps - 1e-12 <= angle <= coarse + 3 * eps + 1e-12
 
     def test_zero_signal_flags_no_detection(self):
         stat = SufficientStatistic(mean=np.zeros(16, dtype=complex), n_snapshots=1)
         coarse = np.radians(10.0)
         eps = np.radians(0.05)
-        angle, flags = refine_source(stat, coarse, eps, self.CFG,
-                                     self._spec(stat, 1.0), GEOM)
+        angle, flags = refine_source(stat, coarse, eps, self._spec(stat, 1.0),
+                                     GEOM)
         assert "no_detection" in flags
         assert angle == pytest.approx(coarse - 3 * eps, abs=1e-12)
 
-    def test_empty_window_returns_coarse_flagged(self):
+    def test_window_outside_domain_raises(self):
+        # Root-MUSIC never returns such an angle; a direct call gets the
+        # planner's error.
         stat = SufficientStatistic(mean=np.ones(16, dtype=complex), n_snapshots=1)
-        coarse = np.radians(-90.1)
-        angle, flags = refine_source(
-            stat, coarse, np.radians(0.01), self.CFG, self._spec(stat, 1.0), GEOM
-        )
-        assert flags == ("empty_window",)
-        assert angle == coarse
+        with pytest.raises(ValueError, match="entirely outside the azimuth domain"):
+            refine_source(stat, np.radians(-90.1), np.radians(0.01),
+                          self._spec(stat, 1.0), GEOM)
 
     def test_epsilon_must_be_positive(self):
         stat = SufficientStatistic(mean=np.ones(16, dtype=complex), n_snapshots=1)
         with pytest.raises(ValueError):
-            refine_source(stat, 0.0, 0.0, self.CFG, self._spec(stat, 1.0), GEOM)
+            refine_source(stat, 0.0, 0.0, self._spec(stat, 1.0), GEOM)
 
 
 class TestEstimateMultisource:
@@ -398,8 +392,8 @@ class TestEstimateMultisource:
         coarse = coarse_estimate(batch, 1, cfg)
         eps = resolve_epsilon(coarse.effective_snr_db)
         angle, _ = refine_source(
-            snapshot_mean(batch), float(coarse.angles[0]), eps, cfg,
-            solver.solver_config(batch.n_snapshots, 1.0), GEOM
+            snapshot_mean(batch), float(coarse.angles[0]), eps,
+            SolverConfig(sigma2=1.0, n_snapshots=batch.n_snapshots), GEOM
         )
         assert est[0] == angle
         assert trace.epsilon == eps
@@ -410,10 +404,7 @@ class TestEstimateMultisource:
             cfg = PipelineSettings(known_snr=15.0)
             est, trace = estimate_multisource(batch, 3, cfg, SolverSettings(sigma2=1.0))
             assert trace.windows and len(trace.windows) == 3
-            unflagged = not any(
-                f in trace.flags for f in ("empty_window", "no_detection")
-            )
-            if unflagged:
+            if "no_detection" not in trace.flags:
                 for angle in est:
                     assert any(
                         lo - 1e-12 <= angle <= hi + 1e-12
