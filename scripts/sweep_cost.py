@@ -59,7 +59,6 @@ from nuvdoa.arrays import (  # noqa: E402
 from nuvdoa.pipeline import full_azimuth_dictionary, resolve_sigma2  # noqa: E402
 from nuvdoa.solver import (  # noqa: E402
     SolverConfig,
-    SolverSettings,
     _is_ula_stack,
     _mackay_update,
     _moments,
@@ -126,7 +125,7 @@ def sweep_us(matrices, args) -> tuple:
 def solve_us(matrices, args) -> tuple:
     """(median microseconds, sweeps) of one whole solve of a steering stack."""
     means = seeded_means(len(matrices), args)
-    config = SolverConfig(sigma2=resolve_sigma2(SolverSettings(), 10.0),
+    config = SolverConfig(sigma2=resolve_sigma2(None, 10.0),
                           n_snapshots=100)
 
     def solve():

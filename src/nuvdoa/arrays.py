@@ -118,10 +118,9 @@ class SnapshotBatch:
 
 @dataclass(frozen=True)
 class SufficientStatistic:
-    """Snapshot mean together with the snapshot count that produced it."""
+    """Snapshot mean; the solver takes the snapshot count from its config."""
 
     mean: np.ndarray
-    n_snapshots: int
 
 
 def _check_azimuth(theta: float):
@@ -217,7 +216,7 @@ def _complex_normal(rng, shape, variance: float) -> np.ndarray:
 def snapshot_mean(batch: SnapshotBatch) -> SufficientStatistic:
     """Average the snapshots; this is all the sparse solver consumes."""
     mean = batch.snapshots.mean(axis=1)
-    return SufficientStatistic(mean=mean, n_snapshots=batch.n_snapshots)
+    return SufficientStatistic(mean=mean)
 
 
 def sample_covariance(batch: SnapshotBatch) -> np.ndarray:

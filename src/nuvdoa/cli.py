@@ -33,8 +33,12 @@ from .reports import dump_report, write_spectrum_csv, write_summary_csv
 from .solver import SolverNumericalError, Spectrum
 from .subbands import plan_subbands, superres_scan
 
-# ScenarioConfig fields that configs write under the `scenario:` section.
-_SCENARIO_KEYS = ("k_sources", "n_sensors", "n_snapshots", "snr_db", "source_model")
+# The config file's sections, each with the ScenarioConfig fields it holds.
+_SECTIONS = {
+    "scenario": ("k_sources", "n_sensors", "n_snapshots", "snr_db", "source_model"),
+    "solver": ("sigma2",),
+    "pipeline": ("known_snr",),
+}
 
 
 class ConfigError(ValueError):
@@ -121,7 +125,8 @@ def _dotted(mapping: dict, prefix: str = ""):
 def config_keys() -> set:
     """Every dotted key that ``parse_config`` accepts."""
     layout = asdict(ScenarioConfig())
-    layout["scenario"] = {key: layout.pop(key) for key in _SCENARIO_KEYS}
+    for section, keys in _SECTIONS.items():
+        layout[section] = {key: layout.pop(key) for key in keys}
     return {"schema_version", *_dotted(layout)}
 
 
@@ -138,10 +143,13 @@ def parse_config(raw: dict) -> ScenarioConfig:
     version = raw.pop("schema_version", 1)
     if version != 1:
         raise ConfigError(f"unsupported schema_version {version!r}")
-    scenario = _section(raw.pop("scenario", None), "scenario")
+    paths = {}
+    for section in _SECTIONS:
+        values = _section(raw.pop(section, None), section)
+        paths.update({key: f"{section}.{key}" for key in values})
+        raw.update(values)
     try:
-        return _build(ScenarioConfig(), {**raw, **scenario},
-                      paths={key: "scenario." + key for key in scenario})
+        return _build(ScenarioConfig(), raw, paths=paths)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -197,7 +205,7 @@ def _spectrum_for(config: ScenarioConfig, method: str, args) -> Spectrum:
     if method != "superres":
         _, method_spectrum = METHOD_TABLE[method]
         return method_spectrum(batch, config, config.snr_db)
-    solver_cfg = config.solver_config(resolve_sigma2(config.solver, config.snr_db))
+    solver_cfg = config.solver_config(resolve_sigma2(config.sigma2, config.snr_db))
     try:
         plan = plan_subbands(math.radians(args.scan_lo_deg),
                              math.radians(args.scan_hi_deg), FINE_STEP, HALF_WIDTH)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Literal
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .baselines import (
     root_music,
 )
 from .pipeline import (
-    PipelineSettings,
     estimate_multisource,
     full_azimuth_dictionary,
     resolve_sigma2,
@@ -42,7 +42,6 @@ from .pipeline import (
 from .solver import (
     SolverConfig,
     SolverNumericalError,
-    SolverSettings,
     select_peaks,
     solve,
     spectrum,
@@ -125,7 +124,13 @@ class DoaSampling:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One benchmark cell family: scenario, method(s), trial schedule."""
+    """One benchmark cell family: scenario, method(s), trial schedule.
+
+    ``sigma2`` is the solver noise floor, None to look it up by SNR.
+    ``known_snr`` is the SNR (dB) that ``nuv_doa`` sizes its windows and
+    noise floor by: None estimates it from each trial's data, and
+    "scenario" takes the trial's true SNR.
+    """
 
     k_sources: int = 1
     n_sensors: int = 16
@@ -138,8 +143,8 @@ class ScenarioConfig:
     seed: int = 0
     doa_sampling: DoaSampling = field(default_factory=lambda: DoaSampling("uniform_range"))
     snr_sweep: tuple[float, ...] = ()
-    solver: SolverSettings = field(default_factory=SolverSettings)
-    pipeline: PipelineSettings = field(default_factory=PipelineSettings)
+    sigma2: float | None = None
+    known_snr: float | Literal["scenario"] | None = None
     detection_threshold_deg: float = 1.0
     timing: bool = False
     # Kept so that config files that say ``workers: 1`` still parse; the
@@ -170,7 +175,7 @@ class ScenarioConfig:
         if self.workers != 1:
             raise ValueError("workers must be 1: the sub-band scan runs on one thread")
         # Build a solver spec once, so its checks fire here.
-        self.solver_config(1.0 if self.solver.sigma2 is None else self.solver.sigma2)
+        self.solver_config(1.0 if self.sigma2 is None else self.sigma2)
 
     @property
     def method_list(self) -> tuple:
@@ -182,12 +187,6 @@ class ScenarioConfig:
 
     def solver_config(self, sigma2: float) -> SolverConfig:
         return SolverConfig(sigma2=sigma2, n_snapshots=self.n_snapshots)
-
-    def pipeline_settings(self, snr_db: float) -> PipelineSettings:
-        """The pipeline settings with ``known_snr: "scenario"`` pinned to ``snr_db``."""
-        if self.pipeline.known_snr == "scenario":
-            return replace(self.pipeline, known_snr=snr_db)
-        return self.pipeline
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,14 +243,15 @@ def match_and_score(estimates_deg, truth_deg):
 # globals (as perfbench/tracing.py does) reaches every method.
 
 def _nuv_doa(batch, config: ScenarioConfig, snr_db: float):
-    angles, trace = estimate_multisource(
-        batch, config.k_sources, config.pipeline_settings(snr_db), config.solver)
+    known_snr = snr_db if config.known_snr == "scenario" else config.known_snr
+    angles, trace = estimate_multisource(batch, config.k_sources, known_snr,
+                                         config.sigma2)
     return angles, tuple(trace.flags)
 
 
 def _nuv_ssr_flat(batch, config: ScenarioConfig, snr_db: float):
     grid, dictionary = full_azimuth_dictionary(FLAT_GRID_CELLS, config.n_sensors)
-    sigma2 = resolve_sigma2(config.solver, snr_db)
+    sigma2 = resolve_sigma2(config.sigma2, snr_db)
     _, moments, _ = solve(dictionary, snapshot_mean(batch),
                           config.solver_config(sigma2), steering=True)
     return spectrum(moments, grid)

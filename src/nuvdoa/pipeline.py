@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
-from typing import Literal
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .arrays import (
 from .baselines import root_music
 from .solver import (
     SolverConfig,
-    SolverSettings,
     select_peaks,  # noqa: F401  (kept: perfbench/tracing.py wraps this name)
     solve,  # noqa: F401  (kept: perfbench/tracing.py wraps this name)
 )
@@ -78,11 +76,11 @@ def load_default_sigma2_table():
     return _packaged_table("sigma2_table.json", "sigma2")
 
 
-def resolve_sigma2(solver: SolverSettings, snr_db: float) -> float:
-    """The solver noise floor: the configured one, else the packaged table's,
-    interpolated in log space and clamped to its edge values."""
-    if solver.sigma2 is not None:
-        return solver.sigma2
+def resolve_sigma2(sigma2: float | None, snr_db: float) -> float:
+    """The solver noise floor: ``sigma2`` when given, else the packaged
+    table's, interpolated in log space and clamped to its edge values."""
+    if sigma2 is not None:
+        return sigma2
     snrs, sigma2s = load_default_sigma2_table()
     return float(10.0 ** np.interp(snr_db, snrs, np.log10(sigma2s)))
 
@@ -98,18 +96,6 @@ def resolve_epsilon(snr_db: float) -> float:
     if snr_db < snrs[0] or snr_db > snrs[-1]:
         return math.radians(_FALLBACK_EPSILON_DEG)
     return math.radians(float(np.interp(snr_db, snrs, epsilons)))
-
-
-@dataclass(frozen=True)
-class PipelineSettings:
-    """The hierarchical estimator's config-file settings.
-
-    ``known_snr`` is None (estimate the SNR from the sample covariance), a
-    number in dB, or "scenario", which the harness replaces with the
-    trial's true SNR before the pipeline sees it.
-    """
-
-    known_snr: float | Literal["scenario"] | None = None
 
 
 @dataclass(frozen=True)
@@ -130,7 +116,6 @@ class PipelineTrace:
 
     coarse: CoarseEstimate
     epsilon: float
-    windows: tuple
     flags: tuple
 
 
@@ -175,10 +160,10 @@ def full_azimuth_dictionary(m_cells: int, n_sensors: int):
 
 
 def coarse_estimate(batch: SnapshotBatch, n_sources: int,
-                    settings: PipelineSettings) -> CoarseEstimate:
+                    known_snr: float | None) -> CoarseEstimate:
     """Locate all sources coarsely: root-MUSIC on the sample covariance.
 
-    The effective SNR is the declared ``settings.known_snr``, else the
+    The effective SNR is the declared ``known_snr`` (dB), else the
     estimate from the covariance's eigenvalue floor; it sizes the
     refinement windows and the solver noise floor.  A ``RootDeficitError``
     from root-MUSIC propagates to the caller.
@@ -186,8 +171,8 @@ def coarse_estimate(batch: SnapshotBatch, n_sources: int,
     if not 1 <= n_sources < batch.n_sensors:
         raise ValueError("n_sources must be positive and below the sensor count")
     cov = sample_covariance(batch)
-    if settings.known_snr is not None:
-        effective = settings.known_snr
+    if known_snr is not None:
+        effective = known_snr
     else:
         effective = estimate_effective_snr(cov)
     return CoarseEstimate(angles=root_music(cov, n_sources), method="root_music",
@@ -218,8 +203,7 @@ def cancel_interference(stat: SufficientStatistic, coarse_angles,
     basis = steering_matrix(others, geometry)
     coeff, *_ = np.linalg.lstsq(basis, stat.mean, rcond=None)
     residual = stat.mean - basis @ coeff
-    return (SufficientStatistic(mean=residual, n_snapshots=stat.n_snapshots),
-            tuple(flags))
+    return SufficientStatistic(mean=residual), tuple(flags)
 
 
 def refine_source(stat: SufficientStatistic, coarse_angle: float,
@@ -242,16 +226,19 @@ def refine_source(stat: SufficientStatistic, coarse_angle: float,
 
 
 def estimate_multisource(batch: SnapshotBatch, n_sources: int,
-                         settings: PipelineSettings, solver: SolverSettings):
-    """Full hierarchical run; returns sorted angles and the trace."""
+                         known_snr: float | None, sigma2: float | None):
+    """Full hierarchical run; returns sorted angles and the trace.
+
+    ``known_snr`` (dB) and ``sigma2`` may each be None: the SNR is then
+    estimated from the data and the noise floor read off its table.
+    """
     geometry = UlaGeometry(batch.n_sensors)
-    coarse = coarse_estimate(batch, n_sources, settings)
+    coarse = coarse_estimate(batch, n_sources, known_snr)
     epsilon = resolve_epsilon(coarse.effective_snr_db)
-    sigma2 = resolve_sigma2(solver, coarse.effective_snr_db)
+    sigma2 = resolve_sigma2(sigma2, coarse.effective_snr_db)
     solver_cfg = SolverConfig(sigma2=sigma2, n_snapshots=batch.n_snapshots)
     stat = snapshot_mean(batch)
     refined = np.empty(n_sources)
-    windows = []
     flags = []
     for index in range(n_sources):
         residual, cancel_flags = cancel_interference(
@@ -260,10 +247,7 @@ def estimate_multisource(batch: SnapshotBatch, n_sources: int,
             residual, float(coarse.angles[index]), epsilon, solver_cfg,
             geometry)
         refined[index] = angle
-        windows.append((float(coarse.angles[index]) - 3.0 * epsilon,
-                        float(coarse.angles[index]) + 3.0 * epsilon))
         flags.extend(cancel_flags)
         flags.extend(refine_flags)
-    trace = PipelineTrace(coarse=coarse, epsilon=epsilon,
-                          windows=tuple(windows), flags=tuple(flags))
+    trace = PipelineTrace(coarse=coarse, epsilon=epsilon, flags=tuple(flags))
     return np.sort(refined), trace

@@ -3,9 +3,9 @@
 A report file is one JSON header line (cell metadata plus aggregates)
 followed by one JSON line per trial.  Loading refuses a file of another
 schema version, one whose trial count differs from its number of records,
-and one whose stored aggregates disagree with those recomputed from the
-records beyond 1e-12, so a report can always be trusted to match its own
-data.
+one whose stored aggregates disagree with those recomputed from the
+records beyond 1e-12, and one with a line that is not a header or record
+of this schema, so a report can always be trusted to match its own data.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 from .harness import Aggregates, RunReport, TrialRecord, aggregate
 
@@ -26,7 +26,8 @@ SUMMARY_COLUMNS = ("method", "snr_db", "L", "K", "trials", "rmse_deg",
 
 
 class ReportIntegrityError(ValueError):
-    """A loaded report's header disagrees with its records or this schema."""
+    """A loaded report's header disagrees with its records or this schema,
+    or one of its lines is malformed."""
 
 
 def dump_report(report: RunReport, path) -> None:
@@ -73,46 +74,55 @@ def _record_fields(line: str, previous: dict) -> dict:
 
 
 def load_report(path) -> RunReport:
+    """The report in ``path``, checked against its own records.
+
+    Every refusal is a :class:`ReportIntegrityError` naming the file; a
+    line that is not JSON, or not a header or record of this schema, is
+    named by its number too.
+    """
     # Lines are parsed as they are read; no list of the file's lines is kept.
     with open(path) as handle:
-        lines = (line for line in handle if line.strip())
-        first = next(lines, None)
+        lines = ((number, line) for number, line in enumerate(handle, 1)
+                 if line.strip())
+        number, first = next(lines, (0, None))
         if first is None:
             raise ReportIntegrityError(f"{path}: empty report")
-        header = json.loads(first)
-        if header.get("schema_version") != SCHEMA_VERSION:
+        try:
+            header = json.loads(first)
+            if header.get("schema_version") != SCHEMA_VERSION:
+                raise ReportIntegrityError(
+                    f"{path}: schema_version {header.get('schema_version')!r}, "
+                    f"expected {SCHEMA_VERSION}")
+            report = RunReport(
+                method=header["method"], snr_db=header["snr_db"],
+                n_snapshots=header["n_snapshots"], k_sources=header["k_sources"],
+                trials=header["trials"],
+                detection_threshold_deg=header["detection_threshold_deg"],
+                records=(), aggregates=Aggregates(**header["aggregates"]))
+            records = []
+            values = {}
+            for number, line in lines:
+                values = _record_fields(line, values)
+                records.append(TrialRecord(**values))
+        except (AttributeError, KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ReportIntegrityError(
-                f"{path}: schema_version {header.get('schema_version')!r}, "
-                f"expected {SCHEMA_VERSION}")
-        records = []
-        values = {}
-        for line in lines:
-            values = _record_fields(line, values)
-            records.append(TrialRecord(**values))
-    if header["trials"] != len(records):
+                f"{path}: malformed line {number}: {exc!r}") from None
+    if report.trials != len(records):
         raise ReportIntegrityError(
-            f"{path}: header says {header['trials']} trials, "
+            f"{path}: header says {report.trials} trials, "
             f"file holds {len(records)} records")
-    detection_threshold_deg = header["detection_threshold_deg"]
-    stored = header["aggregates"]
-    recomputed = aggregate(records, detection_threshold_deg)
+    stored = report.aggregates
+    recomputed = aggregate(records, report.detection_threshold_deg)
     checks = (
-        _close(stored["rmse_deg"], recomputed.rmse_deg),
-        _close(stored["median_abs_error_deg"], recomputed.median_abs_error_deg),
-        _close(stored["detection_rate"], recomputed.detection_rate),
-        stored["false_alarm_count"] == recomputed.false_alarm_count,
+        _close(stored.rmse_deg, recomputed.rmse_deg),
+        _close(stored.median_abs_error_deg, recomputed.median_abs_error_deg),
+        _close(stored.detection_rate, recomputed.detection_rate),
+        stored.false_alarm_count == recomputed.false_alarm_count,
     )
     if not all(checks):
         raise ReportIntegrityError(
             f"{path}: stored aggregates do not match the trial records")
-    return RunReport(
-        method=header["method"], snr_db=header["snr_db"],
-        n_snapshots=header["n_snapshots"], k_sources=header["k_sources"],
-        trials=header["trials"],
-        detection_threshold_deg=detection_threshold_deg,
-        records=tuple(records),
-        aggregates=Aggregates(**stored),
-    )
+    return replace(report, records=tuple(records))
 
 
 def runtime_ms_mean(report: RunReport):

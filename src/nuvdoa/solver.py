@@ -16,8 +16,8 @@ produces a sparse angular spectrum.
 
 All computations run on the snapshot mean only; the snapshot count enters
 through the noise scale ``sigma2 / n_snapshots``.  The loop sets its own
-start: every atom at the prior variance ``init``, and every all-zero column
-(a sub-band's lattice point beyond +-pi/2) at zero, where it stays.
+start: every atom at prior variance 1, and every all-zero column (a
+sub-band's lattice point beyond +-pi/2) at zero, where it stays.
 
 Every sweep runs one flow on a stack of problems: build the sensor-sized
 Gram matrix ``G = A diag(pv) A^H + (sigma2/L) I``, factor it, and read the
@@ -72,14 +72,12 @@ class SolverConfig:
 
     ``sigma2`` is the noise-floor tuning parameter; together with the
     snapshot count it sets the regularization ``sigma2 / n_snapshots``.
-    ``init`` is the prior variance every live atom starts from.
     """
 
     sigma2: float
     n_snapshots: int
     max_iterations: int = 500
     tolerance: float = 1e-6
-    init: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.sigma2 < np.inf:
@@ -90,24 +88,10 @@ class SolverConfig:
             raise ValueError("max_iterations must be positive")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if not 0 < self.init < np.inf:
-            raise ValueError("init must be positive and finite")
 
     @property
     def noise_scale(self) -> float:
         return self.sigma2 / self.n_snapshots
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """The solver's config-file settings.
-
-    ``sigma2 = None`` leaves the noise floor to the pipeline's SNR-indexed
-    table.  Every solve of a run takes SolverConfig's default iteration
-    budget, tolerance and init.
-    """
-
-    sigma2: float | None = None
 
 
 @dataclass(frozen=True)
@@ -460,9 +444,9 @@ def solve_stack(matrices, means, config: SolverConfig,
     ``ValueError``); a ``(b, n, m)`` view whose ``(b, m, n)`` transpose has
     a unit-stride last axis, such as a C-contiguous ``(b, m, n)`` array or
     the sliding window of ``subbands.band_stack``, is used without a copy.
-    Every column with a nonzero entry starts at the prior variance
-    ``config.init`` and every all-zero column at 0, where it stays without
-    coupling into its problem; the sub-band scan's zero columns mark
+    Every column with a nonzero entry starts at prior variance 1 and every
+    all-zero column at 0, where it stays without coupling into its
+    problem; the sub-band scan's zero columns mark
     lattice points beyond +-pi/2 (steering columns have unit-modulus
     entries, so no steering dictionary has one).  Each problem stops when
     the max-norm change of its variances drops below ``tolerance * max(1,
@@ -494,7 +478,7 @@ def solve_stack(matrices, means, config: SolverConfig,
         steering = _is_ula_stack(matrices)
     live = matrices[:, 0] != 0 if steering else matrices.any(axis=1)
     noise = config.noise_scale
-    pv = np.where(live, config.init, 0.0)
+    pv = np.where(live, 1.0, 0.0)
     final_pv = np.empty_like(pv)
     iterations = np.empty(count, dtype=int)
     changes = np.empty(count)
@@ -552,8 +536,8 @@ def solve(dictionary, stat, config: SolverConfig, keep_history: bool = False,
           *, steering: bool | None = None):
     """Run the variance fixed point to convergence.
 
-    Runs :func:`solve_stack` on a stack of one problem: from
-    ``config.init`` it repeats the moment sweep and MacKay's update
+    Runs :func:`solve_stack` on a stack of one problem: from every live
+    atom at prior variance 1 it repeats the moment sweep and MacKay's update
     until the max-norm change of the prior variances drops below
     ``tolerance * max(1, ||pv||_inf)`` or ``max_iterations`` is reached,
     then evaluates the posterior moments once more at the final variances.

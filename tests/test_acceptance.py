@@ -28,7 +28,6 @@ from nuvdoa.baselines import root_music
 from nuvdoa.cli import main
 from nuvdoa.harness import (
     DoaSampling,
-    PipelineSettings,
     ScenarioConfig,
     aggregate,
     run_cell,
@@ -109,8 +108,7 @@ def test_criterion_02_scalar_fixed_point():
         n_snapshots = int(rng.integers(1, 51))
         config = SolverConfig(sigma2=scale * n_snapshots,
                               n_snapshots=n_snapshots,
-                              max_iterations=5000, tolerance=1e-14,
-                              init=1.0)
+                              max_iterations=5000, tolerance=1e-14)
         state, _, _ = solve(np.ones((1, 1)), np.array([ybar]), config)
         target = max(0.0, mag ** 2 - scale)
         worst = max(worst, abs(float(state.prior_variances[0]) - target))
@@ -155,7 +153,7 @@ def test_criterion_04_noiseless_on_grid_recovery():
     grid = build_grid(180)
     dictionary = build_dictionary(grid, GEOMETRY)
     config = SolverConfig(sigma2=1e-3, n_snapshots=1, max_iterations=2000,
-                          tolerance=1e-10, init=1.0)
+                          tolerance=1e-10)
     rng = np.random.default_rng(4)
     started = time.perf_counter()
     hits = 0
@@ -195,7 +193,7 @@ def _pipeline_cell(k_sources, n_snapshots, snr_db, trials, seed, sampling,
         k_sources=k_sources, n_sensors=16, n_snapshots=n_snapshots,
         snr_db=snr_db, trials=trials, seed=seed, method=method,
         doa_sampling=sampling,
-        pipeline=PipelineSettings(known_snr="scenario"),
+        known_snr="scenario",
     )
     return run_cell(config, method, snr_db)
 
@@ -268,7 +266,7 @@ def test_criterion_09_cancellation_orthogonality():
             if np.degrees(np.diff(angles)).min() > 2.0:
                 break
         ybar = _cn(rng, 16)
-        stat = SufficientStatistic(mean=ybar, n_snapshots=1)
+        stat = SufficientStatistic(mean=ybar)
         target = int(rng.integers(0, k))
         residual, _ = cancel_interference(stat, angles, target, GEOMETRY)
         neighbors = steering_matrix(np.delete(angles, target), GEOMETRY)
@@ -321,8 +319,7 @@ def test_criterion_11_noise_floor_tuning_shape():
     spectra = []
     for sigma2 in (3e0, 8e2, 1e4):
         config = SolverConfig(sigma2=sigma2, n_snapshots=100,
-                              max_iterations=500, tolerance=1e-6,
-                              init=1.0)
+                              max_iterations=500, tolerance=1e-6)
         _, moments, _ = solve(dictionary, stat, config)
         spectra.append(spectrum(moments, grid).values)
     shared_max = max(float(values.max()) for values in spectra)

@@ -210,7 +210,6 @@ def test_snapshot_mean_single_snapshot():
         seed=1)
     stat = snapshot_mean(batch)
     npt.assert_array_equal(stat.mean, batch.snapshots[:, 0])
-    assert stat.n_snapshots == 1
 
 
 def test_snapshot_mean_cancels_opposite_pair():

@@ -44,8 +44,8 @@ class TestParseConfig:
         assert config.n_sensors == 16
         assert config.trials == 100
         assert config.doa_sampling.kind == "uniform_range"
-        assert config.solver.sigma2 is None
-        assert config.pipeline.known_snr is None
+        assert config.sigma2 is None
+        assert config.known_snr is None
 
     def test_nested_sections_land_in_dataclasses(self):
         config = parse_config({
@@ -58,8 +58,8 @@ class TestParseConfig:
         assert config.method_list == ("music", "mvdr")
         assert config.snr_list == (0.0, 10.0)
         assert config.k_sources == 2
-        assert config.solver.sigma2 == 3.0
-        assert config.pipeline.known_snr == "scenario"
+        assert config.sigma2 == 3.0
+        assert config.known_snr == "scenario"
 
     def test_rejects_unknown_schema_version(self):
         with pytest.raises(ConfigError, match="schema_version"):
@@ -98,13 +98,13 @@ class TestParseConfig:
                                "pipeline": {"known_snr": 3}})
         assert config.snr_db == 10 and isinstance(config.snr_db, int)
         assert config.snr_sweep == (0, 5.0)
-        assert config.pipeline.known_snr == 3
+        assert config.known_snr == 3
 
     def test_infinite_snr_values_stay_legal(self):
         config = parse_config({"scenario": {"snr_db": float("inf")},
                                "pipeline": {"known_snr": float("inf")}})
         assert config.snr_db == float("inf")
-        assert config.pipeline.known_snr == float("inf")
+        assert config.known_snr == float("inf")
 
     def test_separation_that_some_draw_meets_is_accepted(self):
         config = parse_config({
@@ -168,9 +168,9 @@ class TestLoadConfig:
             load_config(tmp_path / "absent.yaml", args)
 
     @pytest.mark.parametrize("line, read, value", [
-        ("solver: {sigma2: 1e4}", lambda c: c.solver.sigma2, 1e4),
-        ("solver: {sigma2: 1.0e4}", lambda c: c.solver.sigma2, 1e4),
-        ("solver: {sigma2: 1e-6}", lambda c: c.solver.sigma2, 1e-6),
+        ("solver: {sigma2: 1e4}", lambda c: c.sigma2, 1e4),
+        ("solver: {sigma2: 1.0e4}", lambda c: c.sigma2, 1e4),
+        ("solver: {sigma2: 1e-6}", lambda c: c.sigma2, 1e-6),
         ("snr_sweep: [1e1]", lambda c: c.snr_sweep, (10.0,)),
     ], ids=["1e4", "1.0e4", "1e-6", "list-1e1"])
     def test_exponent_numbers_are_floats(self, tmp_path, line, read, value):
@@ -429,6 +429,11 @@ class TestExitCodes:
           "doa_sampling": {"kind": "fixed", "angles_deg": [5.0, 5.0]}},
          "fixed angles must be pairwise distinct"),
         ({"scenario": {"n_snapshots": 0}}, "n_snapshots must be positive"),
+        # Fields of the scenario, solver and pipeline sections are refused
+        # at the root.
+        ({"sigma2": 1.0}, "unknown config key 'sigma2'"),
+        ({"known_snr": 3.0}, "unknown config key 'known_snr'"),
+        ({"k_sources": 2}, "unknown config key 'k_sources'"),
     ])
     def test_invalid_settings_are_two(self, tmp_path, capsys, overrides, message):
         path = _write_config(tmp_path, overrides)

@@ -8,7 +8,6 @@ import pytest
 
 from nuvdoa.harness import (
     DoaSampling,
-    PipelineSettings,
     ScenarioConfig,
     TrialRecord,
     aggregate,
@@ -301,7 +300,7 @@ class TestRunSweep:
         for n_snapshots in (2, 100):
             cfg = _config(method="nuv_doa", trials=8, seed=4,
                           n_snapshots=n_snapshots,
-                          pipeline=PipelineSettings(known_snr="scenario"))
+                          known_snr="scenario")
             cells[n_snapshots] = run_cell(cfg, "nuv_doa", 10.0).aggregates
         assert cells[100].rmse_deg < cells[2].rmse_deg
         assert cells[2].detection_rate == 1.0

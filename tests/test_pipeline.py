@@ -23,7 +23,6 @@ from nuvdoa.baselines import RootDeficitError, root_music
 from nuvdoa.cli import main
 from nuvdoa.pipeline import (
     FINE_STEP,
-    PipelineSettings,
     cancel_interference,
     coarse_estimate,
     estimate_effective_snr,
@@ -36,7 +35,7 @@ from nuvdoa.pipeline import (
     resolve_sigma2,
 )
 from nuvdoa.harness import FLAT_GRID_CELLS, ScenarioConfig, _nuv_ssr_flat, run_trial
-from nuvdoa.solver import SolverConfig, SolverSettings, solve
+from nuvdoa.solver import SolverConfig, solve
 
 GEOM = UlaGeometry(16)
 
@@ -98,14 +97,14 @@ class TestResolveSigma2:
     def test_log_space_interpolation(self):
         for snr in _midpoints(SIGMA2_SNRS):
             expected = 10.0 ** np.interp(snr, SIGMA2_SNRS, np.log10(SIGMA2S))
-            assert resolve_sigma2(SolverSettings(), snr) == expected
+            assert resolve_sigma2(None, snr) == expected
         # halfway between 800 at 5 dB and 300 at 10 dB: the geometric mean
-        assert resolve_sigma2(SolverSettings(), 7.5) == pytest.approx(
+        assert resolve_sigma2(None, 7.5) == pytest.approx(
             math.sqrt(800.0 * 300.0))
 
     def test_clamps_to_edges(self):
-        assert resolve_sigma2(SolverSettings(), -30.0) == SIGMA2S[0]
-        assert resolve_sigma2(SolverSettings(), 40.0) == SIGMA2S[-1]
+        assert resolve_sigma2(None, -30.0) == SIGMA2S[0]
+        assert resolve_sigma2(None, 40.0) == SIGMA2S[-1]
 
     def test_packaged_table_loads(self):
         _assert_loads(load_default_sigma2_table, SIGMA2_SNRS, SIGMA2S)
@@ -164,20 +163,20 @@ class TestPipelineConfig:
     """The sigma2 resolution."""
 
     def test_explicit_sigma2_wins_over_table(self):
-        assert resolve_sigma2(SolverSettings(), 0.0) != 5.0
-        assert resolve_sigma2(SolverSettings(sigma2=5.0), 0.0) == 5.0
+        assert resolve_sigma2(None, 0.0) != 5.0
+        assert resolve_sigma2(5.0, 0.0) == 5.0
 
     def test_table_used_when_sigma2_unset(self):
         for snr in (-20.0, 2.5, 12.0, 40.0):
             expected = 10.0 ** np.interp(snr, SIGMA2_SNRS, np.log10(SIGMA2S))
-            assert resolve_sigma2(SolverSettings(), snr) == expected
+            assert resolve_sigma2(None, snr) == expected
 
 
 class TestCoarseEstimate:
     def test_high_snr_takes_root_path_and_is_tight(self):
         # noiseless single source: covariance rooting is essentially exact
         batch = _batch([20.0], n_snapshots=8, snr_db=np.inf, seed=0)
-        ce = coarse_estimate(batch, 1, PipelineSettings(known_snr=30.0))
+        ce = coarse_estimate(batch, 1, 30.0)
         assert ce.method == "root_music"
         assert abs(ce.angles[0] - np.radians(20.0)) < 1e-6
 
@@ -188,7 +187,7 @@ class TestCoarseEstimate:
         few = _batch([20.0, 35.0], n_snapshots=8, snr_db=0.0, seed=1)
         for known_snr, cell in [(-10.0, batch), (0.0, batch), (6.9, batch),
                                 (7.0, batch), (30.0, batch), (None, few)]:
-            ce = coarse_estimate(cell, 2, PipelineSettings(known_snr=known_snr))
+            ce = coarse_estimate(cell, 2, known_snr)
             reference = root_music(sample_covariance(cell), 2)
             assert ce.angles.tobytes() == reference.tobytes()
             assert ce.method == "root_music"
@@ -213,7 +212,7 @@ class TestCoarseEstimate:
         worst = []
         for seed in range(20):
             batch = _batch([-30.0, 30.0], n_snapshots=100, snr_db=20.0, seed=seed)
-            ce = coarse_estimate(batch, 2, PipelineSettings(known_snr=20.0))
+            ce = coarse_estimate(batch, 2, 20.0)
             err = np.degrees(np.abs(np.sort(ce.angles) - np.radians([-30.0, 30.0])))
             worst.append(err.max())
         assert np.percentile(worst, 95) < 0.5
@@ -221,9 +220,9 @@ class TestCoarseEstimate:
     def test_source_count_validated(self):
         batch = _batch([0.0], n_snapshots=4, snr_db=10.0, seed=0)
         with pytest.raises(ValueError):
-            coarse_estimate(batch, 0, PipelineSettings())
+            coarse_estimate(batch, 0, None)
         with pytest.raises(ValueError):
-            coarse_estimate(batch, 16, PipelineSettings())
+            coarse_estimate(batch, 16, None)
 
 
 class TestFullAzimuthDictionary:
@@ -258,7 +257,7 @@ class TestFullAzimuthDictionary:
         assert full_azimuth_dictionary.cache_info().hits == 1
         # The flat estimate is the one a per-call build gives.
         grid = build_grid(FLAT_GRID_CELLS)
-        sigma2 = resolve_sigma2(config.solver, 0.0)
+        sigma2 = resolve_sigma2(config.sigma2, 0.0)
         _, moments, _ = solve(build_dictionary(grid, GEOM), snapshot_mean(batch),
                               config.solver_config(sigma2))
         assert np.abs(moments.mean).tobytes() == miss
@@ -266,9 +265,7 @@ class TestFullAzimuthDictionary:
 
 class TestCancelInterference:
     def test_single_source_passes_through(self):
-        stat = SufficientStatistic(
-            mean=np.arange(16, dtype=complex) + 1j, n_snapshots=3
-        )
+        stat = SufficientStatistic(mean=np.arange(16, dtype=complex) + 1j)
         out, flags = cancel_interference(stat, np.array([0.2]), 0, GEOM)
         assert out is stat
         assert flags == ()
@@ -277,7 +274,7 @@ class TestCancelInterference:
         t1, t2 = np.radians(-7.5), np.radians(7.5)
         a1, a2 = steering_matrix([t1, t2], GEOM).T
         ybar = 2.0 * a1 + (1.0 + 1.0j) * a2
-        stat = SufficientStatistic(mean=ybar, n_snapshots=1)
+        stat = SufficientStatistic(mean=ybar)
         out, _ = cancel_interference(stat, np.array([t1, t2]), 0, GEOM)
         oracle = 2.0 * (a1 - a2 * (a2.conj() @ a1) / 16.0)
         assert np.allclose(out.mean, oracle, atol=1e-12)
@@ -290,7 +287,7 @@ class TestCancelInterference:
         a2 = steering_matrix([angles[1]], GEOM)[:, 0]
         a3 = steering_matrix([angles[2]], GEOM)[:, 0]
         ybar = 3.0 * a2 - 2.0j * a3
-        stat = SufficientStatistic(mean=ybar, n_snapshots=1)
+        stat = SufficientStatistic(mean=ybar)
         out, _ = cancel_interference(stat, angles, 0, GEOM)
         assert np.linalg.norm(out.mean) < 1e-10 * np.linalg.norm(ybar)
 
@@ -300,7 +297,7 @@ class TestCancelInterference:
             k = int(rng.integers(2, 6))
             angles = np.sort(rng.uniform(-1.4, 1.4, size=k))
             ybar = rng.normal(size=16) + 1j * rng.normal(size=16)
-            stat = SufficientStatistic(mean=ybar, n_snapshots=1)
+            stat = SufficientStatistic(mean=ybar)
             target = int(rng.integers(0, k))
             out, _ = cancel_interference(stat, angles, target, GEOM)
             scale = np.linalg.norm(ybar)
@@ -314,7 +311,7 @@ class TestCancelInterference:
         rng = np.random.default_rng(3)
         angles = np.radians([-20.0, 5.0, 50.0])
         ybar = rng.normal(size=16) + 1j * rng.normal(size=16)
-        stat = SufficientStatistic(mean=ybar, n_snapshots=2)
+        stat = SufficientStatistic(mean=ybar)
         once, _ = cancel_interference(stat, angles, 1, GEOM)
         twice, _ = cancel_interference(once, angles, 1, GEOM)
         assert np.allclose(twice.mean, once.mean, atol=1e-12)
@@ -323,20 +320,20 @@ class TestCancelInterference:
         angles = np.radians([10.0, 40.0, 40.0])
         a_dup = steering_matrix([angles[1]], GEOM)[:, 0]
         ybar = steering_matrix([angles[0]], GEOM)[:, 0] + 0.5 * a_dup
-        stat = SufficientStatistic(mean=ybar, n_snapshots=1)
+        stat = SufficientStatistic(mean=ybar)
         out, flags = cancel_interference(stat, angles, 0, GEOM)
         assert "duplicate_neighbors_dropped" in flags
         assert abs(a_dup.conj() @ out.mean) < 1e-10 * np.linalg.norm(ybar)
 
     def test_target_index_validated(self):
-        stat = SufficientStatistic(mean=np.ones(16, dtype=complex), n_snapshots=1)
+        stat = SufficientStatistic(mean=np.ones(16, dtype=complex))
         with pytest.raises(ValueError):
             cancel_interference(stat, np.array([0.1, 0.2]), 2, GEOM)
 
 
 class TestRefineSource:
-    def _spec(self, stat, sigma2):
-        return SolverConfig(sigma2=sigma2, n_snapshots=stat.n_snapshots,
+    def _spec(self, n_snapshots, sigma2):
+        return SolverConfig(sigma2=sigma2, n_snapshots=n_snapshots,
                             max_iterations=60)
 
     def test_noiseless_window_recovers_truth(self):
@@ -345,7 +342,7 @@ class TestRefineSource:
         stat = snapshot_mean(batch)
         coarse = truth - np.radians(0.07)
         angle, flags = refine_source(
-            stat, coarse, np.radians(0.1), self._spec(stat, 1e-2), GEOM
+            stat, coarse, np.radians(0.1), self._spec(1, 1e-2), GEOM
         )
         assert flags == ()
         assert abs(angle - truth) < FINE_STEP + 1e-12
@@ -356,15 +353,15 @@ class TestRefineSource:
             batch = _batch([-33.0], n_snapshots=50, snr_db=5.0, seed=seed)
             stat = snapshot_mean(batch)
             coarse = np.radians(-33.02)
-            angle, _ = refine_source(stat, coarse, eps, self._spec(stat, 1.0),
+            angle, _ = refine_source(stat, coarse, eps, self._spec(50, 1.0),
                                      GEOM)
             assert coarse - 3 * eps - 1e-12 <= angle <= coarse + 3 * eps + 1e-12
 
     def test_zero_signal_flags_no_detection(self):
-        stat = SufficientStatistic(mean=np.zeros(16, dtype=complex), n_snapshots=1)
+        stat = SufficientStatistic(mean=np.zeros(16, dtype=complex))
         coarse = np.radians(10.0)
         eps = np.radians(0.05)
-        angle, flags = refine_source(stat, coarse, eps, self._spec(stat, 1.0),
+        angle, flags = refine_source(stat, coarse, eps, self._spec(1, 1.0),
                                      GEOM)
         assert "no_detection" in flags
         assert angle == pytest.approx(coarse - 3 * eps, abs=1e-12)
@@ -372,24 +369,22 @@ class TestRefineSource:
     def test_window_outside_domain_raises(self):
         # Root-MUSIC never returns such an angle; a direct call gets the
         # planner's error.
-        stat = SufficientStatistic(mean=np.ones(16, dtype=complex), n_snapshots=1)
+        stat = SufficientStatistic(mean=np.ones(16, dtype=complex))
         with pytest.raises(ValueError, match="entirely outside the azimuth domain"):
             refine_source(stat, np.radians(-90.1), np.radians(0.01),
-                          self._spec(stat, 1.0), GEOM)
+                          self._spec(1, 1.0), GEOM)
 
     def test_epsilon_must_be_positive(self):
-        stat = SufficientStatistic(mean=np.ones(16, dtype=complex), n_snapshots=1)
+        stat = SufficientStatistic(mean=np.ones(16, dtype=complex))
         with pytest.raises(ValueError):
-            refine_source(stat, 0.0, 0.0, self._spec(stat, 1.0), GEOM)
+            refine_source(stat, 0.0, 0.0, self._spec(1, 1.0), GEOM)
 
 
 class TestEstimateMultisource:
     def test_single_source_equals_coarse_plus_refine(self):
         batch = _batch([26.1], n_snapshots=100, snr_db=12.0, seed=6)
-        cfg = PipelineSettings(known_snr=12.0)
-        solver = SolverSettings(sigma2=1.0)
-        est, trace = estimate_multisource(batch, 1, cfg, solver)
-        coarse = coarse_estimate(batch, 1, cfg)
+        est, trace = estimate_multisource(batch, 1, 12.0, 1.0)
+        coarse = coarse_estimate(batch, 1, 12.0)
         eps = resolve_epsilon(coarse.effective_snr_db)
         angle, _ = refine_source(
             snapshot_mean(batch), float(coarse.angles[0]), eps,
@@ -401,36 +396,34 @@ class TestEstimateMultisource:
     def test_estimates_stay_in_windows(self):
         for seed in range(6):
             batch = _batch([-48.0, 3.0, 41.0], n_snapshots=100, snr_db=15.0, seed=seed)
-            cfg = PipelineSettings(known_snr=15.0)
-            est, trace = estimate_multisource(batch, 3, cfg, SolverSettings(sigma2=1.0))
-            assert trace.windows and len(trace.windows) == 3
+            est, trace = estimate_multisource(batch, 3, 15.0, 1.0)
+            assert len(trace.coarse.angles) == 3
             if "no_detection" not in trace.flags:
+                half = 3 * trace.epsilon
                 for angle in est:
                     assert any(
-                        lo - 1e-12 <= angle <= hi + 1e-12
-                        for lo, hi in trace.windows
+                        center - half - 1e-12 <= angle <= center + half + 1e-12
+                        for center in trace.coarse.angles
                     )
 
     def test_two_noncoherent_sources_15_deg_apart(self):
         truths = np.radians([-7.5, 7.5])
-        cfg = PipelineSettings(known_snr=10.0)
         for seed in range(8):
             batch = _batch([-7.5, 7.5], n_snapshots=100, snr_db=10.0, seed=seed)
-            est, _ = estimate_multisource(batch, 2, cfg, SolverSettings())
+            est, _ = estimate_multisource(batch, 2, 10.0, None)
             err = np.degrees(np.abs(np.sort(est) - truths))
             assert np.all(err <= 0.5)
 
     def test_two_coherent_sources_30_deg_apart(self):
         # mean-statistic refinement handles a rank-one covariance pair
         truths = np.radians([-15.0, 15.0])
-        cfg = PipelineSettings(known_snr=15.0)
         hits = 0
         for seed in range(12):
             batch = _batch(
                 [-15.0, 15.0], n_snapshots=100, snr_db=15.0, seed=seed,
                 model="coherent",
             )
-            est, _ = estimate_multisource(batch, 2, cfg, SolverSettings())
+            est, _ = estimate_multisource(batch, 2, 15.0, None)
             err = np.degrees(np.abs(np.sort(est) - truths))
             hits += int(np.all(err < 1.0))
         assert hits >= 10

@@ -117,6 +117,29 @@ class TestReportRoundTrip:
         with pytest.raises(ReportIntegrityError, match="schema_version 7"):
             load_report(path)
 
+    @pytest.mark.parametrize("number, edit", [
+        (2, lambda line: json.dumps({key: value for key, value
+                                     in json.loads(line).items()
+                                     if key != "flags"})),
+        (3, lambda line: json.dumps({**json.loads(line), "note": 1})),
+        (4, lambda line: line[:len(line) // 2]),
+        (1, lambda line: json.dumps({key: value for key, value
+                                     in json.loads(line).items()
+                                     if key != "aggregates"})),
+        (2, lambda line: json.dumps(list(json.loads(line).values()))),
+    ], ids=["record_missing_field", "record_unknown_field", "truncated_line",
+            "header_without_aggregates", "record_is_a_list"])
+    def test_malformed_line_rejected(self, tmp_path, number, edit):
+        report = _small_report()
+        path = tmp_path / "cell.jsonl"
+        dump_report(report, path)
+        lines = path.read_text().splitlines()
+        lines[number - 1] = edit(lines[number - 1])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ReportIntegrityError,
+                           match=rf"cell\.jsonl: malformed line {number}: "):
+            load_report(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "cell.jsonl"
         path.write_text("")

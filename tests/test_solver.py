@@ -50,7 +50,7 @@ def random_problem(rng, n, m):
 
 def test_precision_zero_variances_is_scaled_identity():
     a = steering_matrix(np.radians([-10.0, 0.0, 25.0]), UlaGeometry(4))
-    cfg = SolverConfig(sigma2=2.0, n_snapshots=8, init=1.0)
+    cfg = SolverConfig(sigma2=2.0, n_snapshots=8)
     state = NuvState(prior_variances=np.zeros(3))
     w = precision_matrix(a, state, cfg)
     npt.assert_allclose(w, (8 / 2.0) * np.eye(4), atol=1e-12)
@@ -59,7 +59,7 @@ def test_precision_zero_variances_is_scaled_identity():
 def test_precision_inverts_the_observation_covariance():
     rng = np.random.default_rng(0)
     a, pv, _ = random_problem(rng, 2, 3)
-    cfg = SolverConfig(sigma2=0.7, n_snapshots=5, init=1.0)
+    cfg = SolverConfig(sigma2=0.7, n_snapshots=5)
     state = NuvState(prior_variances=pv)
     w = precision_matrix(a, state, cfg)
     cov = (a * pv) @ a.conj().T + cfg.noise_scale * np.eye(2)
@@ -67,14 +67,14 @@ def test_precision_inverts_the_observation_covariance():
 
 
 def test_precision_scalar_case():
-    cfg = SolverConfig(sigma2=3.0, n_snapshots=3, init=1.0)
+    cfg = SolverConfig(sigma2=3.0, n_snapshots=3)
     state = NuvState(prior_variances=np.array([3.0]))
     w = precision_matrix(np.array([[1.0 + 0j]]), state, cfg)
     assert w[0, 0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_precision_raises_on_nonfinite_covariance():
-    cfg = SolverConfig(sigma2=1.0, n_snapshots=1, init=1.0)
+    cfg = SolverConfig(sigma2=1.0, n_snapshots=1)
     state = NuvState(prior_variances=np.full(3, 1e308))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SolverNumericalError):
@@ -84,7 +84,7 @@ def test_precision_raises_on_nonfinite_covariance():
 def test_moments_zero_variances_annihilate():
     rng = np.random.default_rng(1)
     a, _, ybar = random_problem(rng, 3, 5)
-    cfg = SolverConfig(sigma2=1.0, n_snapshots=4, init=1.0)
+    cfg = SolverConfig(sigma2=1.0, n_snapshots=4)
     state = NuvState(prior_variances=np.zeros(5))
     w = precision_matrix(a, state, cfg)
     mom = posterior_moments(a, state, w, ybar)
@@ -94,7 +94,7 @@ def test_moments_zero_variances_annihilate():
 
 def test_moments_scalar_case():
     # a=1, pv=3, noise scale 1, ybar=2: mean = 3*(1/4)*2, var = 3 - 9/4.
-    cfg = SolverConfig(sigma2=4.0, n_snapshots=4, init=1.0)
+    cfg = SolverConfig(sigma2=4.0, n_snapshots=4)
     state = NuvState(prior_variances=np.array([3.0]))
     a = np.array([[1.0 + 0j]])
     w = precision_matrix(a, state, cfg)
@@ -107,7 +107,7 @@ def test_moments_match_dense_posterior_covariance():
     """The marginal variance must equal the diagonal of the full posterior."""
     rng = np.random.default_rng(2)
     a, pv, ybar = random_problem(rng, 4, 8)
-    cfg = SolverConfig(sigma2=0.5, n_snapshots=10, init=1.0)
+    cfg = SolverConfig(sigma2=0.5, n_snapshots=10)
     state = NuvState(prior_variances=pv)
     w = precision_matrix(a, state, cfg)
     mom = posterior_moments(a, state, w, ybar)
@@ -125,8 +125,7 @@ def test_moment_variance_never_exceeds_prior_variance():
     for _ in range(20):
         a, pv, ybar = random_problem(rng, 3, 6)
         cfg = SolverConfig(sigma2=float(rng.uniform(0.05, 2.0)),
-                           n_snapshots=int(rng.integers(1, 50)),
-                           init=1.0)
+                           n_snapshots=int(rng.integers(1, 50)))
         state = NuvState(prior_variances=pv)
         w = precision_matrix(a, state, cfg)
         mom = posterior_moments(a, state, w, ybar)
@@ -136,7 +135,7 @@ def test_moment_variance_never_exceeds_prior_variance():
 
 def test_solve_zero_column_stays_at_zero():
     # A zero column starts at zero variance, and zero is a fixed point.
-    cfg = SolverConfig(sigma2=1.0, n_snapshots=2, init=1.0)
+    cfg = SolverConfig(sigma2=1.0, n_snapshots=2)
     state, _, trace = solve(np.zeros((1, 1)), np.array([2.0 + 0j]), cfg,
                             keep_history=True)
     npt.assert_array_equal(trace.history, [[0.0], [0.0]])
@@ -157,15 +156,15 @@ def _scalar_history(ybar, cfg):
 
 def test_em_scalar_recursion_converges_to_analytic_fixed_point():
     # For a unit-modulus single atom the fixed point is |ybar|^2 - sigma2/L.
-    cfg = SolverConfig(sigma2=1.0, n_snapshots=1, init=0.7,
-                       max_iterations=600, tolerance=1e-300)
+    cfg = SolverConfig(sigma2=1.0, n_snapshots=1, max_iterations=600,
+                       tolerance=1e-300)
     history = _scalar_history(2.0, cfg)
-    assert history[0] == 0.7
+    assert history[0] == 1.0
     assert history[-1] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_em_scalar_noise_dominated_decreases_toward_zero():
-    cfg = SolverConfig(sigma2=1.0, n_snapshots=1, init=1.0,
+    cfg = SolverConfig(sigma2=1.0, n_snapshots=1,
                        max_iterations=50, tolerance=1e-300)
     history = _scalar_history(0.5, cfg)
     assert history.size == 51
@@ -182,7 +181,7 @@ def test_scalar_solve_lands_on_analytic_fixed_point(ybar, target):
     floor and to zero at rate ``|ybar|^2 / s`` below it.
     """
     cfg = SolverConfig(sigma2=1.0, n_snapshots=1, max_iterations=500,
-                       tolerance=1e-14, init=1.0)
+                       tolerance=1e-14)
     state, _, trace = solve(np.ones((1, 1)), np.array([ybar + 0j]), cfg)
     assert trace.converged
     assert abs(state.prior_variances[0] - target) <= 1e-12
@@ -190,7 +189,7 @@ def test_scalar_solve_lands_on_analytic_fixed_point(ybar, target):
 
 def test_solve_zero_statistic_collapses():
     d = build_dictionary(build_grid(90), UlaGeometry(8))
-    cfg = SolverConfig(sigma2=1.0, n_snapshots=10, init=1.0)
+    cfg = SolverConfig(sigma2=1.0, n_snapshots=10)
     state, mom, trace = solve(d, np.zeros(8, dtype=complex), cfg)
     npt.assert_array_equal(np.abs(mom.mean), np.zeros(90))
     assert state.prior_variances.max() < 1e-3
@@ -201,7 +200,7 @@ def test_solve_noiseless_on_grid_source_argmax():
     geom = UlaGeometry(16)
     grid = build_grid(180)
     d = build_dictionary(grid, geom)
-    cfg = SolverConfig(sigma2=1e-4, n_snapshots=1, init=1.0)
+    cfg = SolverConfig(sigma2=1e-4, n_snapshots=1)
     for seed in range(5):
         rng = np.random.default_rng(seed)
         idx = int(rng.integers(0, 180))
@@ -215,8 +214,7 @@ def test_solve_depends_on_noise_scale_only_through_ratio():
     """Doubling sigma2 and the snapshot count together changes nothing."""
     rng = np.random.default_rng(7)
     a, _, ybar = random_problem(rng, 4, 12)
-    base = SolverConfig(sigma2=0.8, n_snapshots=5, max_iterations=40,
-                        init=1.0)
+    base = SolverConfig(sigma2=0.8, n_snapshots=5, max_iterations=40)
     doubled = replace(base, sigma2=1.6, n_snapshots=10)
     _, _, trace_a = solve(a, ybar, base, keep_history=True)
     _, _, trace_b = solve(a, ybar, doubled, keep_history=True)
@@ -267,7 +265,7 @@ def test_solve_history_follows_hand_iterated_sweeps():
 def test_solve_raises_on_nonfinite_dictionary():
     a = np.ones((2, 3), dtype=complex)
     a[1, 2] = np.inf
-    cfg = SolverConfig(sigma2=1.0, n_snapshots=1, init=1.0)
+    cfg = SolverConfig(sigma2=1.0, n_snapshots=1)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SolverNumericalError) as info:
             solve(a, np.ones(2, dtype=complex), cfg)
@@ -277,7 +275,7 @@ def test_solve_raises_on_nonfinite_dictionary():
 def test_solve_raises_on_failed_factorization():
     # Two identical sensor rows and a noise floor lost to rounding leave a
     # singular covariance in floating point.
-    cfg = SolverConfig(sigma2=1e-30, n_snapshots=1, init=1.0)
+    cfg = SolverConfig(sigma2=1e-30, n_snapshots=1)
     with pytest.raises(SolverNumericalError) as info:
         solve(np.ones((2, 1)), np.ones(2), cfg)
     assert info.value.iteration == 0
@@ -289,8 +287,7 @@ def test_solve_reports_nonconvergence_honestly():
     scen = Scenario(geometry=geom, true_doas=(0.3,), n_snapshots=20,
                     snr_db=0.0)
     stat = snapshot_mean(simulate_snapshots(scen, seed=0))
-    cfg = SolverConfig(sigma2=0.5, n_snapshots=20, max_iterations=2,
-                       init=1.0)
+    cfg = SolverConfig(sigma2=0.5, n_snapshots=20, max_iterations=2)
     _, _, trace = solve(d, stat, cfg)
     assert trace.iterations == 2
     assert not trace.converged
@@ -334,12 +331,11 @@ def test_stack_starts_live_columns_at_init_and_padding_at_zero():
     scen = Scenario(geometry=geom, true_doas=(0.2,), n_snapshots=10,
                     snr_db=5.0)
     ybar = snapshot_mean(simulate_snapshots(scen, seed=5)).mean
-    cfg = SolverConfig(sigma2=0.5, n_snapshots=10, max_iterations=200,
-                       init=2.0)
+    cfg = SolverConfig(sigma2=0.5, n_snapshots=10, max_iterations=200)
     final_pv, mean, variance, excursion, traces = solve_stack(
         matrices, np.broadcast_to(ybar, (3, 8)), cfg, keep_history=True)
     for i, (d, m) in enumerate(zip(dictionaries, widths)):
-        npt.assert_array_equal(traces.histories[i][0][:m], 2.0)
+        npt.assert_array_equal(traces.histories[i][0][:m], 1.0)
         npt.assert_array_equal(traces.histories[i][0][m:], 0.0)
         assert not final_pv[i, m:].any()
         assert not mean[i, m:].any() and not variance[i, m:].any()
@@ -586,7 +582,7 @@ def test_steering_solve_matches_reference_moments(sigma2):
     scen = Scenario(geometry=geom, true_doas=(math.radians(10.3),),
                     n_snapshots=100, snr_db=snr_db)
     stat = snapshot_mean(simulate_snapshots(scen, seed=1))
-    cfg = SolverConfig(sigma2=sigma2, n_snapshots=100, init=1.0)
+    cfg = SolverConfig(sigma2=sigma2, n_snapshots=100)
     state, moments, _ = solve(d, stat, cfg)
     _check_against_references(d, stat.mean, state.prior_variances,
                               moments.mean, moments.variance, cfg)
@@ -604,7 +600,7 @@ def test_padded_edge_band_stack_matches_reference_moments():
     scen = Scenario(geometry=geom, true_doas=(theta,), n_snapshots=40,
                     snr_db=10.0)
     ybar = snapshot_mean(simulate_snapshots(scen, seed=4)).mean
-    cfg = SolverConfig(sigma2=0.7, n_snapshots=40, init=1.0)
+    cfg = SolverConfig(sigma2=0.7, n_snapshots=40)
     final_pv, mean, variance, _, _ = solve_stack(
         matrices, np.broadcast_to(ybar, (len(live), 16)), cfg)
     for i, cols in enumerate(live):
@@ -627,7 +623,7 @@ def test_noiseless_long_solve_matches_primal_moments():
     grid = build_grid(180)
     d = build_dictionary(grid, UlaGeometry(16))
     cfg = SolverConfig(sigma2=1e-3, n_snapshots=1, max_iterations=2000,
-                       tolerance=1e-10, init=1.0)
+                       tolerance=1e-10)
     rng = np.random.default_rng(4)
     for _ in range(4):
         index = int(rng.integers(0, 180))
@@ -656,7 +652,7 @@ def test_noiseless_long_solve_off_steering_matches_primal_moments():
     matrix = build_dictionary(build_grid(180), UlaGeometry(16))[::-1]
     assert not _is_ula_stack(matrix[None])
     cfg = SolverConfig(sigma2=1e-3, n_snapshots=1, max_iterations=2000,
-                       tolerance=1e-10, init=1.0)
+                       tolerance=1e-10)
     rng = np.random.default_rng(4)
     for _ in range(4):
         index = int(rng.integers(0, 180))
@@ -700,8 +696,7 @@ def test_ula_detection_rejects_other_dictionaries(kind):
     assert not _is_ula_stack(matrix[None])
     rng = np.random.default_rng(10)
     ybar = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    cfg = SolverConfig(sigma2=0.3, n_snapshots=10, max_iterations=100,
-                       init=1.0)
+    cfg = SolverConfig(sigma2=0.3, n_snapshots=10, max_iterations=100)
     state, moments, _ = solve(matrix, ybar, cfg)
     _check_against_references(matrix, ybar, state.prior_variances,
                               moments.mean, moments.variance, cfg)
@@ -849,9 +844,6 @@ def test_config_validation():
         SolverConfig(sigma2=1.0, n_snapshots=1, tolerance=math.nan)
     with pytest.raises(ValueError, match="sigma2 must be positive and finite"):
         SolverConfig(sigma2=math.inf, n_snapshots=1)
-    for init in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="init must be positive and finite"):
-            SolverConfig(sigma2=1.0, n_snapshots=1, init=init)
 
 
 def test_sweep_cost_script_runs(monkeypatch, capsys):

@@ -110,7 +110,7 @@ class TestSolveSubband:
 
     def test_zero_statistic_gives_zero(self):
         geom = UlaGeometry(16)
-        stat = SufficientStatistic(mean=np.zeros(16, dtype=complex), n_snapshots=4)
+        stat = SufficientStatistic(mean=np.zeros(16, dtype=complex))
         cfg = SolverConfig(sigma2=0.5, n_snapshots=4)
         assert _point_scan(0.0, stat, cfg, geom) == 0.0
 
@@ -126,7 +126,6 @@ class TestSolveSubband:
             n_snapshots=1,
             max_iterations=2000,
             tolerance=1e-6,
-            init=1.0,
         )
         value = _point_scan(theta, stat, cfg, geom)
         assert abs(value / source_mag - 1.0) < 0.01
@@ -142,7 +141,6 @@ class TestSolveSubband:
             n_snapshots=1,
             max_iterations=2000,
             tolerance=1e-6,
-            init=1.0,
         )
         on = _point_scan(theta, stat, cfg, geom)
         far = _point_scan(theta + np.radians(5.0), stat, cfg, geom)
@@ -150,12 +148,8 @@ class TestSolveSubband:
 
     def test_failure_tagged_with_band_center(self):
         geom = UlaGeometry(8)
-        stat = SufficientStatistic(
-            mean=np.ones(8, dtype=complex), n_snapshots=1
-        )
-        cfg = SolverConfig(
-            sigma2=1.0, n_snapshots=1, max_iterations=5, init=1e308
-        )
+        stat = SufficientStatistic(mean=np.full(8, 1e160, dtype=complex))
+        cfg = SolverConfig(sigma2=1.0, n_snapshots=1, max_iterations=5)
         with np.errstate(all="ignore"):
             with pytest.raises(SolverNumericalError,
                                match=r"centers \[10\.0\] deg"):
@@ -165,7 +159,7 @@ class TestSolveSubband:
 class TestSuperresScan:
     def test_zero_signal_gives_zero_spectrum(self):
         geom = UlaGeometry(16)
-        stat = SufficientStatistic(mean=np.zeros(16, dtype=complex), n_snapshots=2)
+        stat = SufficientStatistic(mean=np.zeros(16, dtype=complex))
         plan = plan_subbands(np.radians(-0.05), np.radians(0.05), FINE, ALPHA)
         spec = superres_scan(plan, stat, SolverConfig(sigma2=0.5, n_snapshots=2), geom)
         assert spec.values.shape == (11,)
@@ -176,7 +170,7 @@ class TestSuperresScan:
         geom = UlaGeometry(16)
         stat = _single_source_stat(theta, n_snapshots=50, snr_db=10.0, seed=7)
         cfg = SolverConfig(
-            sigma2=0.5, n_snapshots=50, max_iterations=80, init=1.0
+            sigma2=0.5, n_snapshots=50, max_iterations=80
         )
         plan = plan_subbands(theta, theta, FINE, ALPHA)
         spec = superres_scan(plan, stat, cfg, geom)
@@ -190,7 +184,7 @@ class TestSuperresScan:
         geom = UlaGeometry(16)
         stat = _single_source_stat(theta, n_snapshots=100, snr_db=5.0, seed=11)
         cfg = SolverConfig(
-            sigma2=1.0, n_snapshots=100, max_iterations=60, init=1.0
+            sigma2=1.0, n_snapshots=100, max_iterations=60
         )
         plan = plan_subbands(theta, theta + np.radians(0.11), FINE, ALPHA)
         assert len(plan.bands) == 12
@@ -213,7 +207,7 @@ class TestSuperresScan:
         geom = UlaGeometry(16)
         stat = _single_source_stat(theta, n_snapshots=100, snr_db=8.0, seed=2)
         cfg = SolverConfig(
-            sigma2=0.7, n_snapshots=100, max_iterations=40, init=1.0
+            sigma2=0.7, n_snapshots=100, max_iterations=40
         )
         plan = plan_subbands(
             theta - np.radians(0.03), theta + np.radians(0.03), FINE, ALPHA
@@ -230,7 +224,7 @@ class TestSuperresScan:
         plan = plan_subbands(theta - 5 * FINE, theta + 5 * FINE, FINE, ALPHA)
         truth_idx = int(np.argmin(np.abs(plan.scan_grid.values - theta)))
         cfg = SolverConfig(
-            sigma2=1e-2, n_snapshots=1, max_iterations=60, init=1.0
+            sigma2=1e-2, n_snapshots=1, max_iterations=60
         )
         for seed in range(100):
             stat = _single_source_stat(theta, n_snapshots=1, snr_db=np.inf, seed=seed)
@@ -248,7 +242,6 @@ class TestSuperresScan:
             n_snapshots=100,
             max_iterations=2000,
             tolerance=1e-6,
-            init=1.0,
         )
         ratios = []
         for seed in range(50):
@@ -264,7 +257,7 @@ class TestSuperresScan:
         # center value still equals a plain solve of the band's own grid.
         geom = UlaGeometry(16)
         cfg = SolverConfig(
-            sigma2=0.7, n_snapshots=40, max_iterations=50, init=1.0
+            sigma2=0.7, n_snapshots=40, max_iterations=50
         )
         for theta in np.radians([89.6, -89.95]):
             stat = _single_source_stat(theta, n_snapshots=40, snr_db=10.0,
@@ -298,10 +291,8 @@ class TestSuperresScan:
 
     def test_failure_lists_band_centers(self):
         geom = UlaGeometry(8)
-        stat = SufficientStatistic(mean=np.ones(8, dtype=complex), n_snapshots=1)
-        cfg = SolverConfig(
-            sigma2=1.0, n_snapshots=1, max_iterations=5, init=1e308
-        )
+        stat = SufficientStatistic(mean=np.full(8, 1e160, dtype=complex))
+        cfg = SolverConfig(sigma2=1.0, n_snapshots=1, max_iterations=5)
         plan = plan_subbands(np.radians(4.0), np.radians(4.02), FINE, ALPHA)
         with np.errstate(all="ignore"):
             with pytest.raises(SolverNumericalError, match="centers"):
@@ -314,7 +305,7 @@ def test_select_peaks_on_stitched_spectrum():
     stat = _single_source_stat(theta, n_snapshots=1, snr_db=np.inf, seed=0)
     plan = plan_subbands(theta - 2 * FINE, theta + 2 * FINE, FINE, ALPHA)
     cfg = SolverConfig(
-        sigma2=1e-2, n_snapshots=1, max_iterations=60, init=1.0
+        sigma2=1e-2, n_snapshots=1, max_iterations=60
     )
     spec = superres_scan(plan, stat, cfg, geom)
     picked = select_peaks(spec, 1)
